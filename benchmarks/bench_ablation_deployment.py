@@ -67,7 +67,7 @@ def _hierarchical_time() -> float:
             "local-reduce", cost=lambda: KernelCost(SIZE / 8, 3 * SIZE)
         )
         for d in range(1, 4):
-            fut = world.fabric.transfer(
+            fut = world.transfer(
                 ctx.devices[d].device_id,
                 ctx.devices[0].device_id,
                 SIZE,
@@ -85,7 +85,7 @@ def _hierarchical_time() -> float:
         )
         # Phase 3: broadcast the result back to the local devices.
         for d in range(1, 4):
-            world.fabric.transfer(
+            world.transfer(
                 ctx.devices[0].device_id,
                 ctx.devices[d].device_id,
                 SIZE,

@@ -3,9 +3,10 @@
 A :class:`World` is single-use: one SPMD program, one ``sim.run()``.
 The service layer lifts that to a *cluster*: a stream of
 :class:`~repro.cluster.jobs.JobRequest`\\ s from different tenants is
-admitted through a bounded queue, gang-placed onto free nodes, run as
-an isolated :class:`TenantView` of the shared world, and torn down so
-the nodes (and their device memory) go back into the pool.
+admitted through a bounded queue, gang-placed onto free nodes, run on
+a :class:`TenantView` — a :class:`World` scope over the gang's nodes of
+the shared world — and torn down so the nodes (and their device
+memory) go back into the pool.
 
 Isolation model
 ===============
@@ -22,11 +23,12 @@ NIC, or an intra-node link.  Each job gets:
   tenant's metrics/spans never mix into another's registry — the
   service's own ``service.*`` metrics live on the world registry with
   a ``tenant`` label for cross-tenant rollups,
-* its own :class:`~repro.faults.FaultPlan` scope: the plan is armed on
-  the gang's devices and consulted by the gang's conduits/fabric
-  transfers only, so a chaos plan on tenant A cannot perturb tenant
-  B's results *or timing* (the isolation property the tests assert
-  bit-for-bit).
+* its own :class:`~repro.faults.FaultPlan`: the plan is armed on the
+  gang's devices, and every transfer the gang issues goes through
+  :meth:`World.transfer`, which passes the issuing scope's plan to the
+  shared ``Fabric.transfer`` as an argument.  The fabric stores no
+  plan, so a chaos plan on tenant A cannot perturb tenant B's results
+  *or timing* (the isolation property the tests assert bit-for-bit).
 
 Scheduling is deterministic: admission order is (arrival, job_id),
 placement takes the lowest free node indices, and the queue policy is
@@ -42,9 +44,7 @@ import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.jobs import JobRequest, build_job
-from repro.cluster.world import RankContext, World
-from repro.device import PeerAccessManager
-from repro.hardware.topology import DeviceId
+from repro.cluster.world import RankContext, World, check_gang_shape
 from repro.obs import Observability
 from repro.obs.accounting import ChargebackReport, CostRates, chargeback_report
 from repro.obs.rollup import exact_percentile
@@ -59,8 +59,8 @@ from repro.obs.slo import (
     latency_slo,
 )
 from repro.obs.timeseries import TimeSeries, WindowSpec
-from repro.sim import Barrier, Future
-from repro.util.errors import ConfigurationError, PercentileError
+from repro.sim import Future
+from repro.util.errors import ConfigurationError
 from repro.util.units import MiB
 
 
@@ -105,41 +105,14 @@ def default_service_slos() -> Tuple[SLO, ...]:
     )
 
 
-class _TenantFabric:
-    """The shared fabric, seen through one tenant's fault scope.
+class TenantView(World):
+    """One job's gang: a :class:`World` scope over part of a shared one.
 
-    ``Fabric.transfer`` draws its fault plan at issue time and never
-    yields, so swapping the plan in around the call (and restoring it
-    before returning) confines injected faults to this tenant's
-    transfers without copying any fabric state.
-    """
-
-    def __init__(self, fabric, view: "TenantView") -> None:
-        self._fabric = fabric
-        self._view = view
-
-    def transfer(self, *args: Any, **kwargs: Any):
-        plan = self._view.fault_plan
-        if plan is None:
-            return self._fabric.transfer(*args, **kwargs)
-        saved = self._fabric.faults
-        self._fabric.faults = plan
-        try:
-            return self._fabric.transfer(*args, **kwargs)
-        finally:
-            self._fabric.faults = saved
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._fabric, name)
-
-
-class TenantView:
-    """One job's gang, duck-typing :class:`World` for the runtime stack.
-
-    Shares the world's simulator, topology, platform, tracer, and
-    device objects (hardware is real and shared); owns everything that
-    must not leak across tenants — rank contexts, observability, peer
-    access bookkeeping, the gang barrier, and the fault scope.
+    Shares the parent world's simulator, topology, platform, tracer,
+    fabric and device objects (hardware is real and shared); owns
+    everything that must not leak across tenants — rank contexts,
+    observability, peer access bookkeeping, the gang barrier, and the
+    fault plan its transfers are handed (see :meth:`World.transfer`).
     """
 
     def __init__(
@@ -151,88 +124,25 @@ class TenantView:
         obs: Optional[Observability] = None,
         tenant: str = "tenant",
     ) -> None:
-        if not nodes:
-            raise ConfigurationError("a tenant view needs at least one node")
-        if len(set(nodes)) != len(nodes):
-            raise ConfigurationError(f"duplicate nodes in gang: {nodes}")
-        if ranks_per_node <= 0 or devices_per_rank <= 0:
-            raise ConfigurationError("gang shape values must be positive")
-        gpn = world.platform.gpus_per_node
-        if ranks_per_node * devices_per_rank > gpn:
-            raise ConfigurationError(
-                f"{ranks_per_node} ranks x {devices_per_rank} devices "
-                f"exceed {gpn} GPUs per node"
-            )
         self.world = world
         self.tenant = tenant
         self.nodes = tuple(nodes)
-        # Shared hardware and clocks.
         self.platform = world.platform
         self.sim = world.sim
         self.topology = world.topology
         self.tracer = world.tracer
-        self.fabric = _TenantFabric(world.fabric, self)
-        # Tenant-owned state.
+        self.fabric = world.fabric
+        self.analytic = world.analytic
         self.obs = obs if obs is not None else Observability()
         if obs is None:
             self.obs.bind_clock(lambda: self.sim.now)
-        self.peer_access = PeerAccessManager(world.topology)
-        self.ranks_per_node = ranks_per_node
-        self.devices_per_rank = devices_per_rank
-        self.devices: Dict[DeviceId, Any] = {}
-        self.ranks: List[RankContext] = []
-        for node in self.nodes:
-            for lr in range(ranks_per_node):
-                first = lr * devices_per_rank
-                bound = [
-                    world.devices[world.topology.gpu(node, first + d)]
-                    for d in range(devices_per_rank)
-                ]
-                for dev in bound:
-                    self.devices[dev.device_id] = dev
-                self.ranks.append(RankContext(self, len(self.ranks), node, bound))
-        self._device_owner: Dict[DeviceId, RankContext] = {
-            dev.device_id: ctx for ctx in self.ranks for dev in ctx.devices
-        }
-        self.global_barrier = Barrier(
-            self.sim, len(self.ranks), name=f"{tenant}-barrier"
+        self._place(
+            self.nodes, ranks_per_node, devices_per_rank, world.devices, f"{tenant}-barrier"
         )
-        #: this tenant's FaultPlan; conduits/streams/fabric consult it
-        self.fault_plan = None
-
-    # -- World duck-type surface -------------------------------------------
-
-    @property
-    def nranks(self) -> int:
-        return len(self.ranks)
-
-    @property
-    def analytic(self) -> bool:
-        return self.world.analytic
-
-    def same_node(self, rank_a: int, rank_b: int) -> bool:
-        return self.ranks[rank_a].node == self.ranks[rank_b].node
-
-    def device_owner(self, dev_id: DeviceId) -> RankContext:
-        try:
-            return self._device_owner[dev_id]
-        except KeyError:
-            raise ConfigurationError(
-                f"device {dev_id} is not bound to any rank of tenant "
-                f"{self.tenant!r}"
-            ) from None
-
-    # -- fault scoping -------------------------------------------------------
-
-    def install_fault_plan(self, plan) -> None:
-        """Arm ``plan`` on this gang only: the gang's devices (for the
-        ``stream.sync`` site) and — via :class:`_TenantFabric` and the
-        conduit's live ``fault_plan`` lookup — every transfer this
-        tenant issues.  The rest of the world stays on its own plan."""
-        plan.bind(self.obs)
-        self.fault_plan = plan
-        for dev in self.devices.values():
-            dev.faults = plan
+        #: only the gang's devices, so install_fault_plan arms no others
+        self.devices = {dev_id: world.devices[dev_id] for dev_id in self._device_owner}
+        # A gang without a plan of its own runs under the parent's.
+        self.fault_plan = world.fault_plan
 
     def restore(self) -> None:
         """Detach the tenant scope, handing devices back to the world's
@@ -240,12 +150,6 @@ class TenantView:
         self.fault_plan = None
         for dev in self.devices.values():
             dev.faults = self.world.fault_plan
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<TenantView {self.tenant} nodes={self.nodes} "
-            f"ranks={self.nranks}>"
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -383,11 +287,7 @@ class ServiceResult:
         measurement) when no job was admitted — an all-rejected or
         empty run has no wait samples.
         """
-        if not 0.0 <= q <= 1.0:
-            raise PercentileError(f"percentile q must be in [0, 1], got {q}")
         waits = [r.queue_wait for r in self.records if r.outcome != "rejected"]
-        if not waits:
-            return 0.0
         return exact_percentile(waits, q)
 
     def tenant_rollups(self) -> Dict[str, Any]:
@@ -658,13 +558,8 @@ class ClusterService:
         try:
             # Validates gang shape and problem size up front, so a bad
             # request bounces at admission instead of mid-placement.
-            TenantView(
-                self.world,
-                range(req.nodes),
-                req.ranks_per_node,
-                req.devices_per_rank,
-                obs=Observability(enabled=False),
-                tenant=req.tenant,
+            check_gang_shape(
+                self.world.platform, range(req.nodes), req.ranks_per_node, req.devices_per_rank
             )
             program, args, segment_size = build_job(req, req.nranks)
         except ConfigurationError:
@@ -797,8 +692,11 @@ class ClusterService:
         try:
             result = run.pend.program(ctx, *run.pend.args)
         except Exception as exc:  # noqa: BLE001 - contained, job marked failed
-            # First error wins; the reaper kills the surviving gang
-            # tasks (a partial gang would deadlock on its barriers).
+            # Deliberately broad: the program is arbitrary tenant code,
+            # and whatever it raises must fail only this job, never the
+            # scheduler or another tenant's gang.  First error wins; the
+            # reaper kills the surviving gang tasks (a partial gang
+            # would deadlock on its barriers).
             if run.error is None:
                 run.error = exc
                 if not run.done.fired:

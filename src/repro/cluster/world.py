@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.device import Device, PeerAccessManager
 from repro.hardware.platforms import PlatformSpec
 from repro.hardware.topology import ClusterTopology, DeviceId
 from repro.network import Fabric
 from repro.obs import Observability
-from repro.sim import Barrier, Simulator, Tracer
+from repro.sim import Barrier, Future, Simulator, Tracer
 from repro.util.errors import ConfigurationError
 
 
@@ -59,13 +59,47 @@ class RankContext:
         return f"<RankContext rank={self.rank} node={self.node} devices=[{devs}]>"
 
 
+def check_gang_shape(
+    platform: PlatformSpec,
+    nodes: Sequence[int],
+    ranks_per_node: Optional[int],
+    devices_per_rank: int,
+) -> int:
+    """Validate a gang of ``ranks_per_node`` ranks on each of ``nodes``,
+    each bound to ``devices_per_rank`` consecutive GPUs, and return
+    ``ranks_per_node`` (``None`` means as many as the GPUs allow).
+
+    The product must not exceed the node's GPU count — exactly the
+    constraint a real job launcher enforces.
+    """
+    if not nodes:
+        raise ConfigurationError("a gang needs at least one node")
+    if len(set(nodes)) != len(nodes):
+        raise ConfigurationError(f"duplicate nodes in gang: {tuple(nodes)}")
+    if devices_per_rank <= 0:
+        raise ConfigurationError("devices_per_rank must be positive")
+    gpn = platform.gpus_per_node
+    if ranks_per_node is None:
+        ranks_per_node = gpn // devices_per_rank
+    if ranks_per_node <= 0:
+        raise ConfigurationError("ranks_per_node must be positive")
+    if ranks_per_node * devices_per_rank > gpn:
+        raise ConfigurationError(
+            f"{ranks_per_node} ranks x {devices_per_rank} devices "
+            f"exceed {gpn} GPUs per node"
+        )
+    return ranks_per_node
+
+
 class World:
     """A fully wired simulated cluster plus rank placement.
 
-    ``ranks_per_node`` ranks are placed on each node; each rank is
-    bound to ``devices_per_rank`` consecutive GPUs.  The product must
-    not exceed the node's GPU count — exactly the constraint a real
-    job launcher enforces.
+    ``ranks_per_node`` ranks are placed on each node, each bound to
+    ``devices_per_rank`` GPUs (see :func:`check_gang_shape`).  A world
+    is the scope the whole runtime stack receives: its ranks,
+    observability, peer access, barrier and fault plan.  A
+    :class:`~repro.cluster.service.TenantView` is the same scope over
+    one gang of a shared world.
     """
 
     def __init__(
@@ -79,18 +113,6 @@ class World:
         faults=None,
         analytic: bool = False,
     ) -> None:
-        if devices_per_rank <= 0:
-            raise ConfigurationError("devices_per_rank must be positive")
-        gpn = platform.gpus_per_node
-        if ranks_per_node is None:
-            ranks_per_node = gpn // devices_per_rank
-        if ranks_per_node <= 0:
-            raise ConfigurationError("ranks_per_node must be positive")
-        if ranks_per_node * devices_per_rank > gpn:
-            raise ConfigurationError(
-                f"{ranks_per_node} ranks x {devices_per_rank} devices "
-                f"exceed {gpn} GPUs per node"
-            )
         self.platform = platform
         self.sim = Simulator()
         # Note: `tracer or Tracer()` would discard a provided-but-empty
@@ -108,20 +130,44 @@ class World:
             self.sim.profiler = engine
         self.topology: ClusterTopology = platform.cluster(num_nodes)
         self.fabric = Fabric(self.sim, self.topology, tracer=self.tracer)
-        self.peer_access = PeerAccessManager(self.topology)
         #: one Device per physical GPU, keyed by DeviceId
         self.devices: Dict[DeviceId, Device] = {
             dev_id: Device(self.sim, dev_id, platform.node.gpu, tracer=self.tracer)
             for dev_id in self.topology.all_gpus()
         }
+        self._place(
+            range(num_nodes), ranks_per_node, devices_per_rank, self.devices, "world-barrier"
+        )
+        if faults is not None:
+            self.install_fault_plan(faults)
+        #: analytic-rank mode: allocations are timing-only (virtual)
+        self.analytic = False
+        if analytic:
+            self.enable_analytic()
+
+    def _place(
+        self,
+        nodes: Sequence[int],
+        ranks_per_node: Optional[int],
+        devices_per_rank: int,
+        devices: Dict[DeviceId, Device],
+        barrier_name: str,
+    ) -> None:
+        """Validate the gang shape, bind ranks ``0..k-1`` to GPUs of
+        ``devices`` on ``nodes``, and give the scope fresh peer access,
+        barrier and (empty) fault plan."""
+        ranks_per_node = check_gang_shape(
+            self.platform, nodes, ranks_per_node, devices_per_rank
+        )
         self.ranks_per_node = ranks_per_node
         self.devices_per_rank = devices_per_rank
+        self.peer_access = PeerAccessManager(self.topology)
         self.ranks: List[RankContext] = []
-        for node in range(num_nodes):
+        for node in nodes:
             for lr in range(ranks_per_node):
                 first = lr * devices_per_rank
                 bound = [
-                    self.devices[self.topology.gpu(node, first + d)]
+                    devices[self.topology.gpu(node, first + d)]
                     for d in range(devices_per_rank)
                 ]
                 self.ranks.append(RankContext(self, len(self.ranks), node, bound))
@@ -130,16 +176,10 @@ class World:
         self._device_owner: Dict[DeviceId, RankContext] = {
             dev.device_id: ctx for ctx in self.ranks for dev in ctx.devices
         }
-        #: world-wide rendezvous used by runtimes for init/teardown
-        self.global_barrier = Barrier(self.sim, len(self.ranks), name="world-barrier")
+        #: scope-wide rendezvous used by runtimes for init/teardown
+        self.global_barrier = Barrier(self.sim, len(self.ranks), name=barrier_name)
         #: the installed FaultPlan, or None (perfect hardware)
         self.fault_plan = None
-        if faults is not None:
-            self.install_fault_plan(faults)
-        #: analytic-rank mode: allocations are timing-only (virtual)
-        self.analytic = False
-        if analytic:
-            self.enable_analytic()
 
     def enable_analytic(self) -> None:
         """Switch the world to analytic-rank mode.
@@ -158,18 +198,22 @@ class World:
             dev.analytic = True
 
     def install_fault_plan(self, plan) -> None:
-        """Arm a :class:`~repro.faults.FaultPlan` on every injection
-        site: the fabric transfer path (which covers both conduits and
-        intra-node RMA) and device stream synchronization.  Conduits
-        check ``world.fault_plan`` at issue time to switch their
-        retry/backoff recovery on."""
+        """Arm a :class:`~repro.faults.FaultPlan` on this scope: every
+        transfer issued through :meth:`transfer` (which covers both
+        conduits and intra-node RMA) and stream synchronization on the
+        scope's devices.  Conduits check ``world.fault_plan`` at issue
+        time to switch their retry/backoff recovery on."""
         plan.bind(self.obs)
         self.fault_plan = plan
-        self.fabric.faults = plan
         for dev in self.devices.values():
             # Streams (default and created, past and future) read the
             # device's plan live at draw time — see Stream.faults.
             dev.faults = plan
+
+    def transfer(self, src: DeviceId, dst: DeviceId, nbytes: int, **kwargs) -> Future:
+        """:meth:`Fabric.transfer` under this scope's fault plan — the
+        one place a transfer is handed the plan it draws from."""
+        return self.fabric.transfer(src, dst, nbytes, faults=self.fault_plan, **kwargs)
 
     @property
     def nranks(self) -> int:

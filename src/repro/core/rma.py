@@ -297,7 +297,7 @@ class DiompRma:
             params = runtime.params
 
             def issue():
-                return world.fabric.transfer(
+                return world.transfer(
                     remote.endpoint,
                     local.endpoint,
                     8,
@@ -309,7 +309,7 @@ class DiompRma:
                     initiator=diomp.rank,
                 )
 
-            plan = getattr(world, "fault_plan", None)
+            plan = world.fault_plan
             if plan is None:
                 fut = issue()
             else:
@@ -510,7 +510,7 @@ class DiompRma:
                 obs.deliver("stream.complete", ctx, sim.now, rank=diomp.rank)
 
         def issue():
-            return world.fabric.transfer(
+            return world.transfer(
                 src_ref.endpoint,
                 dst_ref.endpoint,
                 local.nbytes,
@@ -528,7 +528,7 @@ class DiompRma:
         est = world.fabric.unloaded_time(
             src_ref.endpoint, dst_ref.endpoint, local.nbytes, operation=op
         )
-        plan = getattr(world, "fault_plan", None)
+        plan = world.fault_plan
         if plan is None:
             fut = issue()
             stream = pool.acquire()

@@ -193,16 +193,13 @@ class GasnetClient:
         self.gets_issued = 0
         self.ams_sent = 0
         # -- metrics (message counts/bytes by size class; repro.obs) --
-        obs = getattr(conduit.world, "obs", None)
-        if obs is not None:
-            self._m_msgs = obs.counter(
-                "conduit.messages", "conduit messages by op and size class"
-            )
-            self._m_bytes = obs.counter(
-                "conduit.bytes", "conduit payload bytes by op and size class"
-            )
-        else:
-            self._m_msgs = self._m_bytes = None
+        obs = conduit.world.obs
+        self._m_msgs = obs.counter(
+            "conduit.messages", "conduit messages by op and size class"
+        )
+        self._m_bytes = obs.counter(
+            "conduit.bytes", "conduit payload bytes by op and size class"
+        )
         self._obs = obs
 
     def _trace_delivery(
@@ -217,7 +214,7 @@ class GasnetClient:
         zero-duration delivery span.
         """
         obs = self._obs
-        if obs is None or not obs.enabled:
+        if not obs.enabled:
             return on_complete
         ctx = obs.capture(track=f"rank{self.rank}")
         if ctx is None:
@@ -231,8 +228,6 @@ class GasnetClient:
         return wrapped
 
     def _count_message(self, op: str, nbytes: int) -> None:
-        if self._m_msgs is None:
-            return
         cls = size_class(nbytes)
         labels = dict(conduit="gasnet", op=op, size_class=cls, rank=self.rank)
         self._m_msgs.inc(**labels)
@@ -299,7 +294,7 @@ class GasnetClient:
         under the conduit's :class:`~repro.faults.RetryPolicy`.
         """
         world = self.conduit.world
-        plan = getattr(world, "fault_plan", None)
+        plan = world.fault_plan
         if plan is None:
             return issue()
         stall = plan.draw("rank.stall", rank=self.rank, op=op)
@@ -309,7 +304,7 @@ class GasnetClient:
             world.sim,
             issue,
             self.conduit.params.retry,
-            obs=getattr(world, "obs", None),
+            obs=world.obs,
             labels=dict(conduit="gasnet", op=op, rank=self.rank),
             description=f"gasnet-{op}-r{self.rank}",
         ).future
@@ -325,7 +320,7 @@ class GasnetClient:
         )
 
         def issue() -> Future:
-            return world.fabric.transfer(
+            return world.transfer(
                 src.endpoint,
                 dst.endpoint,
                 src.nbytes,
@@ -362,7 +357,7 @@ class GasnetClient:
         )
 
         def issue() -> Future:
-            return world.fabric.transfer(
+            return world.transfer(
                 src.endpoint,
                 dst.endpoint,
                 dst.nbytes,
@@ -451,7 +446,7 @@ class GasnetClient:
         complete = self._trace_delivery("conduit.deliver", peer_rank, apply_batch)
 
         def issue() -> Future:
-            return world.fabric.transfer(
+            return world.transfer(
                 src_ep,
                 dst_ep,
                 total,
@@ -519,7 +514,7 @@ class GasnetClient:
         self.ams_sent += 1
         self._count_message("am", payload_bytes)
         obs = self._obs
-        send_ctx = obs.capture(track=f"rank{self.rank}") if obs is not None else None
+        send_ctx = obs.capture(track=f"rank{self.rank}")
 
         def issue() -> Future:
             # One attempt = request leg + handler + reply leg.  A
@@ -540,25 +535,17 @@ class GasnetClient:
                         f"rank {dst_rank} has no AM handler {handler!r}"
                     ) from None
                 reply = handler_fn(self.rank, payload)
-                handler_ctx = (
-                    obs.deliver(
-                        "conduit.am.deliver", send_ctx, world.sim.now, rank=dst_rank
-                    )
-                    if obs is not None
-                    else None
+                handler_ctx = obs.deliver(
+                    "conduit.am.deliver", send_ctx, world.sim.now, rank=dst_rank
                 )
 
                 def reply_done() -> None:
                     attempt.fire(reply)
-                    if obs is not None:
-                        obs.deliver(
-                            "conduit.am.reply",
-                            handler_ctx,
-                            world.sim.now,
-                            rank=self.rank,
-                        )
+                    obs.deliver(
+                        "conduit.am.reply", handler_ctx, world.sim.now, rank=self.rank
+                    )
 
-                rep = world.fabric.transfer(
+                rep = world.transfer(
                     dst_host,
                     src_host,
                     payload_bytes,
@@ -572,7 +559,7 @@ class GasnetClient:
                 attempt.eta = getattr(rep, "eta", None)  # type: ignore[attr-defined]
                 rep.add_done_callback(propagate)
 
-            req = world.fabric.transfer(
+            req = world.transfer(
                 src_host,
                 dst_host,
                 payload_bytes,

@@ -120,16 +120,13 @@ class Gpi2Client:
         self.gets_issued = 0
         self.ams_sent = 0
         # -- metrics (message counts/bytes by size class; repro.obs) --
-        obs = getattr(conduit.world, "obs", None)
-        if obs is not None:
-            self._m_msgs = obs.counter(
-                "conduit.messages", "conduit messages by op and size class"
-            )
-            self._m_bytes = obs.counter(
-                "conduit.bytes", "conduit payload bytes by op and size class"
-            )
-        else:
-            self._m_msgs = self._m_bytes = None
+        obs = conduit.world.obs
+        self._m_msgs = obs.counter(
+            "conduit.messages", "conduit messages by op and size class"
+        )
+        self._m_bytes = obs.counter(
+            "conduit.bytes", "conduit payload bytes by op and size class"
+        )
         self._obs = obs
 
     def _trace_delivery(
@@ -137,7 +134,7 @@ class Gpi2Client:
     ) -> Callable[[], Any]:
         """Causal delivery wrapper (see GasnetClient._trace_delivery)."""
         obs = self._obs
-        if obs is None or not obs.enabled:
+        if not obs.enabled:
             return on_complete
         ctx = obs.capture(track=f"rank{self.rank}")
         if ctx is None:
@@ -151,8 +148,6 @@ class Gpi2Client:
         return wrapped
 
     def _count_message(self, op: str, nbytes: int) -> None:
-        if self._m_msgs is None:
-            return
         cls = size_class(nbytes)
         labels = dict(conduit="gpi2", op=op, size_class=cls, rank=self.rank)
         self._m_msgs.inc(**labels)
@@ -199,7 +194,7 @@ class Gpi2Client:
         """Issue one operation, with recovery when a fault plan is on
         (see :meth:`repro.gasnet.conduit.GasnetClient._launch`)."""
         world = self.conduit.world
-        plan = getattr(world, "fault_plan", None)
+        plan = world.fault_plan
         if plan is None:
             return issue()
         stall = plan.draw("rank.stall", rank=self.rank, op=op)
@@ -209,7 +204,7 @@ class Gpi2Client:
             world.sim,
             issue,
             self.conduit.params.retry,
-            obs=getattr(world, "obs", None),
+            obs=world.obs,
             labels=dict(conduit="gpi2", op=op, rank=self.rank),
             description=f"gaspi-{op}-r{self.rank}",
         ).future
@@ -228,7 +223,7 @@ class Gpi2Client:
         )
 
         def issue() -> Future:
-            return world.fabric.transfer(
+            return world.transfer(
                 src.endpoint,
                 dst.endpoint,
                 src.nbytes,
@@ -268,7 +263,7 @@ class Gpi2Client:
         )
 
         def issue() -> Future:
-            return world.fabric.transfer(
+            return world.transfer(
                 src.endpoint,
                 dst.endpoint,
                 dst.nbytes,
@@ -353,7 +348,7 @@ class Gpi2Client:
         complete = self._trace_delivery("conduit.deliver", peer_rank, apply_batch)
 
         def issue() -> Future:
-            return world.fabric.transfer(
+            return world.transfer(
                 src_ep,
                 dst_ep,
                 total,
@@ -444,7 +439,7 @@ class Gpi2Client:
         )
 
         def issue() -> Future:
-            return world.fabric.transfer(
+            return world.transfer(
                 src_host,
                 dst_host,
                 8,
@@ -481,7 +476,7 @@ class Gpi2Client:
         self.ams_sent += 1
         self._count_message("am", payload_bytes)
         obs = self._obs
-        send_ctx = obs.capture(track=f"rank{self.rank}") if obs is not None else None
+        send_ctx = obs.capture(track=f"rank{self.rank}")
 
         def issue() -> Future:
             attempt = Future(world.sim, description=f"gaspi-am:{handler}->r{dst_rank}")
@@ -498,25 +493,17 @@ class Gpi2Client:
                         f"rank {dst_rank} has no AM handler {handler!r}"
                     ) from None
                 reply = handler_fn(self.rank, payload)
-                handler_ctx = (
-                    obs.deliver(
-                        "conduit.am.deliver", send_ctx, world.sim.now, rank=dst_rank
-                    )
-                    if obs is not None
-                    else None
+                handler_ctx = obs.deliver(
+                    "conduit.am.deliver", send_ctx, world.sim.now, rank=dst_rank
                 )
 
                 def reply_done() -> None:
                     attempt.fire(reply)
-                    if obs is not None:
-                        obs.deliver(
-                            "conduit.am.reply",
-                            handler_ctx,
-                            world.sim.now,
-                            rank=self.rank,
-                        )
+                    obs.deliver(
+                        "conduit.am.reply", handler_ctx, world.sim.now, rank=self.rank
+                    )
 
-                rep = world.fabric.transfer(
+                rep = world.transfer(
                     dst_host,
                     src_host,
                     payload_bytes,
@@ -530,7 +517,7 @@ class Gpi2Client:
                 attempt.eta = getattr(rep, "eta", None)  # type: ignore[attr-defined]
                 rep.add_done_callback(propagate)
 
-            req = world.fabric.transfer(
+            req = world.transfer(
                 src_host,
                 dst_host,
                 payload_bytes,

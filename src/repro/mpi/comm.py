@@ -111,7 +111,7 @@ def _payload_transfer(
         else 1
     )
     if not staged:
-        world.fabric.transfer(
+        world.transfer(
             src_ep,
             dst_ep,
             nbytes,
@@ -126,7 +126,7 @@ def _payload_transfer(
     host = world.topology.host(src_ep.node)
 
     def second_hop() -> None:
-        world.fabric.transfer(
+        world.transfer(
             host,
             dst_ep,
             nbytes,
@@ -136,7 +136,7 @@ def _payload_transfer(
             bandwidth_factor=params.bw_efficiency,
         )
 
-    world.fabric.transfer(
+    world.transfer(
         src_ep,
         host,
         nbytes,
@@ -292,7 +292,7 @@ class Communicator:
             else:
                 self._start_rendezvous_payload(pending, recv, world_dest)
 
-        world.fabric.transfer(
+        world.transfer(
             self._host(self.world_rank),
             self._host(world_dest),
             _CTRL_BYTES,
@@ -366,7 +366,7 @@ class Communicator:
             )
 
         # CTS travels back to the sender's host first.
-        world.fabric.transfer(
+        world.transfer(
             self._host(world_dest),
             self._host(pending.src_world_rank),
             _CTRL_BYTES,

@@ -123,7 +123,7 @@ class Window:
         dst = exposed.slice(target_offset, src.nbytes)
         params = self.comm.mpi.params
         world = self.comm.mpi.world
-        fut = world.fabric.transfer(
+        fut = world.transfer(
             src.endpoint,
             dst.endpoint,
             src.nbytes,
@@ -149,7 +149,7 @@ class Window:
         src = exposed.slice(target_offset, dst.nbytes)
         params = self.comm.mpi.params
         world = self.comm.mpi.world
-        fut = world.fabric.transfer(
+        fut = world.transfer(
             src.endpoint,
             dst.endpoint,
             dst.nbytes,
@@ -196,7 +196,7 @@ class Window:
             d = dst.typed(dtype)
             d[:] = op(d, src.typed(dtype))
 
-        fut = world.fabric.transfer(
+        fut = world.transfer(
             src.endpoint,
             dst.endpoint,
             src.nbytes,

@@ -68,9 +68,6 @@ class Fabric:
         self.sim = sim
         self.topology = topology
         self.tracer = tracer
-        #: fault-injection plan consulted per transfer (installed by
-        #: World.install_fault_plan; None = perfect fabric)
-        self.faults = None
         #: per-resource earliest availability time
         self._busy_until: Dict[str, float] = {}
         #: cumulative statistics, queryable by tests/benchmarks
@@ -95,6 +92,8 @@ class Fabric:
         force_network: bool = False,
         fault_site: Optional[str] = None,
         initiator: Optional[int] = None,
+        *,
+        faults=None,
     ) -> Future:
         """Start a transfer; returns a future fired at completion.
 
@@ -111,11 +110,13 @@ class Fabric:
         one aggregated message of the same total payload.  For a single
         uncontended transfer the two are equivalent.
 
-        ``fault_site``/``initiator`` key this transfer for the world's
-        :class:`~repro.faults.FaultPlan` (site defaults to
-        ``fabric.transfer``).  The returned future carries an ``eta``
-        attribute — the expected completion time — which the hybrid
-        fence uses to block on the earliest-completing event.
+        ``faults`` is the initiating scope's
+        :class:`~repro.faults.FaultPlan` (None = perfect fabric; see
+        :meth:`repro.cluster.world.World.transfer`);
+        ``fault_site``/``initiator`` key this transfer for it (site
+        defaults to ``fabric.transfer``).  The returned future carries
+        an ``eta`` attribute — the expected completion time — which the
+        hybrid fence uses to block on the earliest-completing event.
         """
         if nbytes < 0:
             raise CommunicationError(f"negative transfer size: {nbytes}")
@@ -130,8 +131,8 @@ class Fabric:
                 f"bandwidth_factor must be in (0, 1], got {bandwidth_factor}"
             )
         action = None
-        if self.faults is not None:
-            action = self.faults.draw(
+        if faults is not None:
+            action = faults.draw(
                 fault_site or "fabric.transfer", rank=initiator, op=operation
             )
             if action is not None:

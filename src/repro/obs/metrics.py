@@ -20,7 +20,7 @@ import dataclasses
 import warnings
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, PercentileError
 
 #: label storage: sorted ((key, value), ...) tuples
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -95,14 +95,14 @@ class HistogramStats:
         Edge cases are pinned, never estimated:
 
         * ``q`` outside [0, 1] (including NaN) raises
-          :class:`~repro.util.errors.ConfigurationError`;
+          :class:`~repro.util.errors.PercentileError`;
         * an empty series returns 0.0;
         * a single observation returns that observation for every q;
         * ``q == 0`` returns the observed minimum, ``q == 1`` the
           observed maximum, exactly.
         """
         if not (0.0 <= q <= 1.0):  # also catches NaN (comparisons fail)
-            raise ConfigurationError(f"percentile q must be in [0, 1], got {q}")
+            raise PercentileError(f"percentile q must be in [0, 1], got {q}")
         if self.count == 0:
             return 0.0
         if self.count == 1 or self.minimum == self.maximum:

@@ -312,9 +312,11 @@ class SpanStore:
         self._close_spill()
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
+        # AttributeError: __init__ failed before the handle existed;
+        # OSError: the final flush of the spill file failed.
         try:
             self._close_spill()
-        except Exception:
+        except (AttributeError, OSError):
             pass
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

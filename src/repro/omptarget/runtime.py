@@ -63,7 +63,7 @@ class OmpTargetRuntime:
             dst = entry.device_buffer.as_array(np.uint8)
             dst[:] = entry.host_obj.reshape(-1).view(np.uint8)
 
-        fut = self.ctx.world.fabric.transfer(
+        fut = self.ctx.world.transfer(
             self.ctx.host,
             device.device_id,
             entry.device_buffer.size,
@@ -83,7 +83,7 @@ class OmpTargetRuntime:
             flat = entry.host_obj.reshape(-1).view(np.uint8)
             flat[:] = entry.device_buffer.as_array(np.uint8)
 
-        fut = self.ctx.world.fabric.transfer(
+        fut = self.ctx.world.transfer(
             device.device_id,
             host_ep,
             entry.device_buffer.size,

@@ -460,7 +460,11 @@ class Simulator:
         self.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
+        # AttributeError: __init__ failed part-way, or module globals
+        # are already gone at interpreter shutdown; RuntimeError: the
+        # collector ran on one of this simulator's own task threads,
+        # which cannot join itself.
         try:
             self.close()
-        except Exception:
+        except (AttributeError, RuntimeError):
             pass

@@ -89,11 +89,12 @@ class PercentileError(ConfigurationError, ValueError):
     """An invalid percentile rank ``q`` (outside ``[0, 1]``).
 
     The unified taxonomy for every percentile surface: historically
-    :func:`repro.obs.rollup.exact_percentile` raised
-    :class:`ConfigurationError` while
-    ``ServiceResult.queue_wait_percentile`` raised :class:`ValueError`
-    for the same misuse.  Both now raise this class, which inherits
-    from *both* bases so existing ``except`` clauses keep working.
+    :func:`repro.obs.rollup.exact_percentile` and
+    ``HistogramStats.percentile`` raised :class:`ConfigurationError`
+    while ``ServiceResult.queue_wait_percentile`` raised
+    :class:`ValueError` for the same misuse.  All now raise this class,
+    which inherits from *both* bases so existing ``except`` clauses
+    keep working.
     """
 
 

@@ -90,19 +90,16 @@ class XcclContext:
         self.params = params
         self._comms: Dict[UniqueId, _CommState] = {}
         # -- metrics (device-slot collective launches; repro.obs) --
-        obs = getattr(world, "obs", None)
-        if obs is not None:
-            self._m_launches = obs.counter(
-                "xccl.launches", "device-slot collective launches by op"
-            )
-            self._m_wire = obs.counter(
-                "xccl.wire_bytes", "modeled per-rank wire bytes by op/algorithm"
-            )
-            self._m_algo = obs.counter(
-                "xccl.algo", "completed collectives by selected algorithm"
-            )
-        else:
-            self._m_launches = self._m_wire = self._m_algo = None
+        obs = world.obs
+        self._m_launches = obs.counter(
+            "xccl.launches", "device-slot collective launches by op"
+        )
+        self._m_wire = obs.counter(
+            "xccl.wire_bytes", "modeled per-rank wire bytes by op/algorithm"
+        )
+        self._m_algo = obs.counter(
+            "xccl.algo", "completed collectives by selected algorithm"
+        )
 
     def _state(self, uid: UniqueId, ndev: int) -> _CommState:
         state = self._comms.get(uid)
@@ -191,8 +188,8 @@ class XcclComm:
 
     def _record_phases(self, sel: Selection, start: float) -> None:
         """Emit per-phase spans so traces attribute intra vs inter time."""
-        obs = getattr(self.ctx.world, "obs", None)
-        if obs is None or not obs.profiler.enabled:
+        obs = self.ctx.world.obs
+        if not obs.profiler.enabled:
             return
         params = self.ctx.params
         eff = (
@@ -260,22 +257,18 @@ class XcclComm:
             raise CommunicationError(f"device rank {self.dev_rank} arrived twice")
         pending.arrivals[self.dev_rank] = arrival
         fut = pending.done
-        if self.ctx._m_launches is not None:
-            self.ctx._m_launches.inc(
-                op=op, library=self.ctx.params.name, ndev=state.ndev
-            )
+        self.ctx._m_launches.inc(op=op, library=self.ctx.params.name, ndev=state.ndev)
         if len(pending.arrivals) == state.ndev:
             del state.pending[seq]
             sel = self.select(op, nbytes, algo=algo)
             duration = sel.seconds
-            if self.ctx._m_algo is not None:
-                labels = dict(
-                    op=op, algo=sel.algo, library=self.ctx.params.name, ndev=state.ndev
-                )
-                self.ctx._m_algo.inc(**labels)
-                self.ctx._m_wire.inc(
-                    state.ndev * sum(ph.wire_bytes for ph in sel.phases), **labels
-                )
+            labels = dict(
+                op=op, algo=sel.algo, library=self.ctx.params.name, ndev=state.ndev
+            )
+            self.ctx._m_algo.inc(**labels)
+            self.ctx._m_wire.inc(
+                state.ndev * sum(ph.wire_bytes for ph in sel.phases), **labels
+            )
             self._record_phases(sel, sim.now)
             arrivals = pending.arrivals
             done = pending.done

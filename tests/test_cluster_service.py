@@ -62,7 +62,9 @@ class TestTenantView:
     def test_shares_hardware_owns_isolation_state(self):
         w = make_world()
         view = TenantView(w, (1,), ranks_per_node=2)
+        assert isinstance(view, World)
         assert view.sim is w.sim and view.topology is w.topology
+        assert view.fabric is w.fabric
         gpu = w.topology.gpu(1, 0)
         assert view.devices[gpu] is w.devices[gpu]
         assert view.obs is not w.obs
@@ -275,7 +277,7 @@ class TestIsolation:
     def test_fault_scope_removed_at_teardown(self):
         res = self.run_pair(noisy_plan())
         assert all(dev.faults is None for dev in res.world.devices.values())
-        assert res.world.fabric.faults is None
+        assert res.world.fault_plan is None
 
 
 class TestFailureContainment:

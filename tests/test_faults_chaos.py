@@ -303,7 +303,11 @@ class TestPlanWiring:
         plan = FaultPlan([FaultSpec(site="*", kind="latency", latency=1e-6)])
         w = World(platform_a(with_quirk=False), num_nodes=1, faults=plan)
         assert w.fault_plan is plan
-        assert w.fabric.faults is plan
+        # Transfers are handed the world's plan per call; the shared
+        # fabric stores none.
+        assert not hasattr(w.fabric, "faults")
+        w.transfer(w.topology.gpu(0, 0), w.topology.gpu(0, 1), 8)
+        assert w.fabric.faults_injected == 1
         assert all(d.faults is plan for d in w.devices.values())
         assert all(d.default_stream.faults is plan for d in w.devices.values())
 

@@ -8,7 +8,7 @@ from repro.core import DiompParams, DiompRuntime
 from repro.hardware import platform_a
 from repro.obs import Observability, size_class
 from repro.obs.metrics import DEFAULT_BOUNDS, MetricsRegistry
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, PercentileError
 
 
 class TestCounter:
@@ -126,7 +126,7 @@ class TestPercentiles:
 
     def test_out_of_range_q_rejected(self):
         h = self.make()
-        with pytest.raises(ConfigurationError, match="percentile"):
+        with pytest.raises(PercentileError, match="percentile"):
             h.stats().percentile(1.5, h.bounds)
 
     def test_snapshot_carries_quantiles(self):
