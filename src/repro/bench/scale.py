@@ -46,6 +46,11 @@ SCALE_RANKS = 1024
 #: exercises the budget machinery itself; here it just bounds memory)
 SCALE_BUDGET = SpanBudget(max_bytes=1 * MiB, per_track_head=1, per_track_reservoir=4)
 
+#: per-rank host-side global segment for the sweeps: they use no host
+#: global memory, and the default 16 MiB would be 16 GiB of zeroed
+#: arrays at 1024 ranks, resident once freed heap memory is recycled
+SCALE_HOST_SEGMENT = 64 * KiB
+
 #: ring steps the truncated Cannon rotation simulates
 CANNON_STEPS = 2
 
@@ -75,7 +80,10 @@ def allreduce_scale_stats(
     ``wall_seconds`` (host cost of the whole sweep).
     """
     world = _scale_world(platform, num_nodes)
-    DiompRuntime(world, DiompParams(segment_size=4 * size + (1 << 20)))
+    DiompRuntime(
+        world,
+        DiompParams(segment_size=4 * size + (1 << 20), host_segment_size=SCALE_HOST_SEGMENT),
+    )
 
     def prog(ctx):
         # No virtual= flag: analytic mode forces it world-wide.
@@ -121,7 +129,12 @@ def cannon_scale_stats(
         world.obs.set_span_budget(span_budget)
     cfg = CannonConfig(n=n, execute=False, steps=steps)
     wall_t0 = perf_counter()
-    res = run_cannon(world, cfg)
+    # run_cannon's own segment sizing, with the small host segment
+    stripe_bytes = cfg.stripe(world.nranks) * cfg.n * cfg.itemsize
+    params = DiompParams(
+        segment_size=6 * stripe_bytes + (1 << 20), host_segment_size=SCALE_HOST_SEGMENT
+    )
+    res = run_cannon(world, cfg, runtime=DiompRuntime(world, params))
     stats: Dict[str, float] = world.obs.engine.to_dict()
     stats["wall_seconds"] = perf_counter() - wall_t0
     stats["ranks"] = world.nranks

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hardware.topology import DeviceId
 from repro.util.errors import ConfigurationError
@@ -36,6 +36,12 @@ class DiompGroup:
     ranks: Tuple[int, ...]
     #: member devices, rank-major (each rank contributes its bound GPUs)
     devices: Tuple[DeviceId, ...]
+    #: world rank -> group rank, derived from ``ranks``
+    _index: Dict[int, int] = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        index = {r: i for i, r in enumerate(self.ranks)}
+        object.__setattr__(self, "_index", index)
 
     @staticmethod
     def create(
@@ -72,13 +78,13 @@ class DiompGroup:
         return len(self.devices)
 
     def contains(self, world_rank: int) -> bool:
-        return world_rank in self.ranks
+        return world_rank in self._index
 
     def group_rank(self, world_rank: int) -> int:
         """The group-relative index of a world rank."""
         try:
-            return self.ranks.index(world_rank)
-        except ValueError:
+            return self._index[world_rank]
+        except KeyError:
             raise ConfigurationError(
                 f"rank {world_rank} is not a member of group {self.group_id}"
             ) from None

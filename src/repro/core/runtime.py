@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,7 +98,42 @@ class _Rendezvous:
         self.size = size
         self.payloads: Dict[int, object] = {}
         self.waiters: List[Future] = []
-        self.result: object = None
+        #: the ``check`` verdict: an error message, or None if agreed
+        self.result: Optional[str] = None
+
+
+def _sym_alloc_mismatch(seq: int, payloads: Dict[int, object]) -> Optional[str]:
+    """The error of a symmetric allocation whose ranks disagree."""
+    sizes = {p[0] for p in payloads.values()}
+    devs = {p[1] for p in payloads.values()}
+    if len(sizes) != 1 or len(devs) != 1:
+        return (
+            f"symmetric allocation mismatch at #{seq}: sizes={sizes} "
+            f"devices={devs}; use alloc_asymmetric for differing sizes"
+        )
+    return None
+
+
+def _offset_divergence(seq: int, offsets: Dict[int, object]) -> Optional[str]:
+    """The error of symmetric offsets that diverged (an invariant)."""
+    if len(set(offsets.values())) != 1:  # pragma: no cover - invariant
+        return f"symmetric offsets diverged at #{seq}: {offsets}"
+    return None
+
+
+def _host_alloc_mismatch(seq: int, sizes: Dict[int, object]) -> Optional[str]:
+    """The error of a host allocation whose ranks disagree on size."""
+    if len(set(sizes.values())) != 1:
+        return f"host symmetric allocation mismatch at #{seq}: {set(sizes.values())}"
+    return None
+
+
+def _slot_divergence(payloads: Dict[int, object]) -> Optional[str]:
+    """The error of second-level pointer slots that diverged (an invariant)."""
+    slots = {p[2] for p in payloads.values()}
+    if len(slots) != 1:  # pragma: no cover - invariant
+        return f"second-level slots diverged: {slots}"
+    return None
 
 
 class DiompRuntime:
@@ -234,10 +269,21 @@ class DiompRuntime:
 
     # -- collective rendezvous machinery ------------------------------------------
 
-    def rendezvous(self, kind: str, seq: int, rank: int, payload: object, size: int):
-        """Arrive at a collective point; the last arrival computes
-        nothing (caller does) but everyone leaves together with access
-        to all payloads.  Returns the payload dict."""
+    def rendezvous(
+        self,
+        kind: str,
+        seq: int,
+        rank: int,
+        payload: object,
+        size: int,
+        check: Optional[Callable[[Dict[int, object]], Optional[str]]] = None,
+    ):
+        """Arrive at a collective point; everyone leaves together with
+        access to all payloads.  Returns the payload dict.
+
+        ``check`` runs once, on the last arrival, over the complete
+        payloads; if it returns a message, every rank raises one
+        :class:`CommunicationError` with it."""
         key = (kind, seq)
         state = self._rendezvous.get(key)
         if state is None:
@@ -255,9 +301,13 @@ class DiompRuntime:
             fut.wait()
         else:
             del self._rendezvous[key]
+            if check is not None:
+                state.result = check(state.payloads)
             waiters, state.waiters = state.waiters, []
             for fut in waiters:
                 fut.fire()
+        if state.result is not None:
+            raise CommunicationError(state.result)
         return state.payloads
 
 
@@ -338,27 +388,18 @@ class Diomp:
         seq = self._alloc_seq
         self._alloc_seq += 1
         self.ctx.sim.sleep(self.runtime.params.alloc_coordination_overhead)
-        payloads = self.runtime.rendezvous(
-            "sym-alloc", seq, self.rank, (nbytes, device_num), self.nranks
+        self.runtime.rendezvous(
+            "sym-alloc", seq, self.rank, (nbytes, device_num), self.nranks,
+            check=lambda payloads: _sym_alloc_mismatch(seq, payloads),
         )
-        sizes = {p[0] for p in payloads.values()}
-        devs = {p[1] for p in payloads.values()}
-        if len(sizes) != 1 or len(devs) != 1:
-            raise CommunicationError(
-                f"symmetric allocation mismatch at #{seq}: sizes={sizes} "
-                f"devices={devs}; use alloc_asymmetric for differing sizes"
-            )
         seg = self.segment(device_num)
         offset = seg.sym_alloc(nbytes)
         virtual = virtual or self.runtime.world.analytic
         local = seg.place(offset, nbytes, virtual, f"sym#{seq}")
-        check = self.runtime.rendezvous(
-            "sym-alloc-verify", seq, self.rank, offset, self.nranks
+        self.runtime.rendezvous(
+            "sym-alloc-verify", seq, self.rank, offset, self.nranks,
+            check=lambda offsets: _offset_divergence(seq, offsets),
         )
-        if len(set(check.values())) != 1:  # pragma: no cover - invariant
-            raise CommunicationError(
-                f"symmetric offsets diverged at #{seq}: {check}"
-            )
         return GlobalBuffer(self.rank, device_num, offset, nbytes, local)
 
     def free(self, gbuf: GlobalBuffer) -> None:
@@ -383,14 +424,10 @@ class Diomp:
         seq = self._alloc_seq
         self._alloc_seq += 1
         self.ctx.sim.sleep(self.runtime.params.alloc_coordination_overhead)
-        payloads = self.runtime.rendezvous(
-            "host-alloc", seq, self.rank, nbytes, self.nranks
+        self.runtime.rendezvous(
+            "host-alloc", seq, self.rank, nbytes, self.nranks,
+            check=lambda payloads: _host_alloc_mismatch(seq, payloads),
         )
-        if len(set(payloads.values())) != 1:
-            raise CommunicationError(
-                f"host symmetric allocation mismatch at #{seq}: "
-                f"{set(payloads.values())}"
-            )
         hseg = self.runtime.host_segment_of(self.rank)
         offset = hseg.allocator.alloc(nbytes)
         self.runtime.obs.gauge(
@@ -442,11 +479,9 @@ class Diomp:
         # second-level dereference reads).
         slot_buf.as_array(np.int64, count=1)[0] = data_addr
         payloads = self.runtime.rendezvous(
-            "asym-alloc", seq, self.rank, (nbytes, data_addr, slot_offset), self.nranks
+            "asym-alloc", seq, self.rank, (nbytes, data_addr, slot_offset), self.nranks,
+            check=_slot_divergence,
         )
-        slots = {p[2] for p in payloads.values()}
-        if len(slots) != 1:  # pragma: no cover - invariant
-            raise CommunicationError(f"second-level slots diverged: {slots}")
         sizes = tuple(payloads[r][0] for r in range(self.nranks))
         addrs = tuple(payloads[r][1] for r in range(self.nranks))
         buf = AsymmetricBuffer(

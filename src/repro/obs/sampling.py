@@ -14,7 +14,9 @@ with a drop-in sequence that enforces a **hard memory budget**:
   track is a fixed-size uniform reservoir (Algorithm R with a seeded
   RNG, so sampling is deterministic).  The total never exceeds the
   budget again — if a new track appears after saturation, room is made
-  by shrinking the largest reservoir.
+  by shrinking the largest reservoir.  The reservoirs are indexed by
+  size in a lazy heap, so finding that victim costs O(log tracks), not
+  a scan of every track.
 * Optionally every completed span is **spilled** to a JSONL file as it
   closes (``spill_path``), so full fidelity lives on disk while RAM
   holds the bounded sample.
@@ -27,6 +29,8 @@ expressed in bytes, which is what operators actually configure.
 from __future__ import annotations
 
 import dataclasses
+import heapq
+import itertools
 import json
 import random
 from typing import Any, Dict, Iterator, List, Optional
@@ -94,13 +98,17 @@ class SpanStoreStats:
 class _TrackSample:
     """Head + reservoir sample of one track (sampling mode only)."""
 
-    __slots__ = ("head", "reservoir", "tail_seen")
+    __slots__ = ("head", "reservoir", "tail_seen", "order", "entry")
 
-    def __init__(self) -> None:
+    def __init__(self, order: int) -> None:
         self.head: List[SpanRecord] = []
         self.reservoir: List[SpanRecord] = []
         #: tail (non-head) spans observed so far, kept or not
         self.tail_seen = 0
+        #: insertion rank of the track: breaks eviction ties
+        self.order = order
+        #: this sample's live entry in the store's eviction heap
+        self.entry: Optional[tuple] = None
 
     def __len__(self) -> int:
         return len(self.head) + len(self.reservoir)
@@ -120,6 +128,12 @@ class SpanStore:
         self._all: List[SpanRecord] = []
         #: sampling mode storage, keyed by track
         self._tracks: Dict[str, _TrackSample] = {}
+        #: eviction index: ``(-len(reservoir), order, stamp, sample)``
+        #: entries, largest reservoir first and first-inserted track on
+        #: ties.  Lazy: an entry is live only while it is its sample's
+        #: ``entry``; every reservoir resize pushes a fresh one.
+        self._heap: List[tuple] = []
+        self._stamps = itertools.count()
         self._sampling = False
         self._kept = 0
         self.recorded = 0
@@ -162,6 +176,7 @@ class SpanStore:
         """Drop every kept span and reset the retention counters."""
         self._all.clear()
         self._tracks.clear()
+        self._heap = []
         self._sampling = False
         self._kept = 0
         self.recorded = 0
@@ -216,7 +231,9 @@ class SpanStore:
         head_n = self.budget.per_track_head
         res_n = self.budget.per_track_reservoir
         for rec in self._all:
-            sample = self._tracks.setdefault(rec.track, _TrackSample())
+            sample = self._tracks.get(rec.track)
+            if sample is None:
+                sample = self._tracks[rec.track] = _TrackSample(len(self._tracks))
             if len(sample.head) < head_n:
                 sample.head.append(rec)
             else:
@@ -229,12 +246,14 @@ class SpanStore:
                         sample.reservoir[j] = rec
         self._all = []
         self._kept = sum(len(s) for s in self._tracks.values())
+        for sample in self._tracks.values():
+            self._index(sample)
         self._shrink_to_budget()
 
     def _admit(self, rec: SpanRecord) -> None:
         sample = self._tracks.get(rec.track)
         if sample is None:
-            sample = self._tracks[rec.track] = _TrackSample()
+            sample = self._tracks[rec.track] = _TrackSample(len(self._tracks))
         if len(sample.head) < self.budget.per_track_head:
             if self._make_room(exempt=sample):
                 sample.head.append(rec)
@@ -245,32 +264,54 @@ class SpanStore:
             if self._make_room(exempt=sample):
                 sample.reservoir.append(rec)
                 self._kept += 1
+                self._index(sample)
             return
         # Algorithm R replacement: uniform over the track's tail.
         j = self._rng.randrange(sample.tail_seen)
         if j < len(sample.reservoir):
             sample.reservoir[j] = rec
 
+    def _index(self, sample: _TrackSample) -> None:
+        """(Re-)enter ``sample`` in the eviction heap at its new size."""
+        if not sample.reservoir:
+            sample.entry = None
+            return
+        if len(self._heap) > 2 * len(self._tracks) + 64:
+            # Stale entries outnumber live ones: rebuild from the live.
+            self._heap = [s.entry for s in self._tracks.values() if s.entry is not None]
+            heapq.heapify(self._heap)
+        sample.entry = (-len(sample.reservoir), sample.order, next(self._stamps), sample)
+        heapq.heappush(self._heap, sample.entry)
+
     def _make_room(self, exempt: Optional[_TrackSample] = None) -> bool:
         """Ensure one admission slot exists under ``max_spans``.
 
-        Evicts one element from the largest other reservoir when
-        saturated.  Returns False when no room can be made (every other
-        track is down to its pinned head), in which case the span is
-        dropped.
+        Evicts one element from the largest other reservoir (the first
+        such track in insertion order) when saturated.  Returns False
+        when no room can be made (every other track is down to its
+        pinned head), in which case the span is dropped.
         """
         if self._kept < self.budget.max_spans:
             return True
-        victim = None
-        for sample in self._tracks.values():
-            if sample is exempt or not sample.reservoir:
-                continue
-            if victim is None or len(sample.reservoir) > len(victim.reservoir):
+        heap = self._heap
+        held = victim = None
+        while heap:
+            entry = heap[0]
+            sample = entry[3]
+            if sample.entry is not entry:
+                heapq.heappop(heap)  # stale: that reservoir was resized since
+            elif sample is exempt:
+                held = heapq.heappop(heap)  # look past it, restore below
+            else:
                 victim = sample
+                break
+        if held is not None:
+            heapq.heappush(heap, held)
         if victim is None:
             return False
         victim.reservoir.pop(self._rng.randrange(len(victim.reservoir)))
         self._kept -= 1
+        self._index(victim)
         return True
 
     def _shrink_to_budget(self) -> None:

@@ -10,20 +10,26 @@ plumbing.  Determinism is preserved because the scheduler hands control
 to exactly one thread at a time and wake order is the strict total
 order ``(time, sequence_number)``.
 
-Control handoff protocol::
+Control handoff protocol.  Each side parks on its own *gate*, a raw
+``_thread`` lock that is held while nobody is waking it: parking is
+``gate.acquire()``, waking the other side is ``gate.release()``::
 
-    scheduler                         task thread
-    ---------                         -----------
+    scheduler                           task thread
+    ---------                           -----------
     pop event (t, seq, resume T)
-    now = t
-    T._resume_evt.set()  ──────────►  returns from _block()/starts fn
-    wait _sched_evt                   ... runs simulated code ...
-                                      blocks: state=BLOCKED
-    ◄──────────  _sched_evt.set()     waits on _resume_evt
-    continue loop
+    now = t; _current = T
+    T._gate.release()  ───────────────► returns from _block()/starts fn
+    _sched_gate.acquire()  (parks)      ... runs simulated code ...
+                                        blocks: state=BLOCKED
+                                        _current = None
+    ◄───────────────  _sched_gate.release()
+    continue loop                       T._gate.acquire()  (parks)
 
 Only the scheduler **or** the single running task ever touches
-simulator state, so no further locking is needed.
+simulator state, so no further locking is needed.  A gate is released
+exactly once per park (a second ``release`` raises): only the task
+that holds control hands it back, so the threads that :meth:`close`
+unblocks all at once die without touching the scheduler gate.
 
 Scalability (1024+ ranks): SPMD programs generate large bursts of
 events at identical timestamps — every barrier release, collective
@@ -50,6 +56,7 @@ import enum
 import heapq
 import itertools
 import threading
+from _thread import allocate_lock
 from time import perf_counter
 from typing import Any, Callable, List, Optional
 
@@ -62,6 +69,13 @@ class _Kill(BaseException):
     Derives from ``BaseException`` so user ``except Exception`` blocks
     cannot swallow it.
     """
+
+
+def _held_lock():
+    """A raw lock acquired at creation: a closed gate."""
+    gate = allocate_lock()
+    gate.acquire()
+    return gate
 
 
 class TaskState(enum.Enum):
@@ -104,7 +118,9 @@ class Task:
         self._kwargs = kwargs
         self._wake_value: Any = None
         self._kill = False
-        self._resume_evt = threading.Event()
+        #: held while the task is parked; the scheduler releases it to
+        #: hand the task control (see the module docstring)
+        self._gate = _held_lock()
         self._join_waiters: List[Any] = []  # Futures fired on completion
         #: True once the task's error was raised in at least one live
         #: joiner — a delivered error is handled there, not by run()
@@ -122,8 +138,7 @@ class Task:
 
     def _thread_body(self) -> None:
         # Park until the scheduler gives us control for the first time.
-        self._resume_evt.wait()
-        self._resume_evt.clear()
+        self._gate.acquire()
         sim = self.sim
         try:
             if self._kill:
@@ -138,8 +153,12 @@ class Task:
             self.state = TaskState.FAILED
         finally:
             self._finish_waiters()
-            sim._current = None
-            sim._sched_evt.set()
+            # Hand control back only if this task holds it: tasks that
+            # close() kills all at once are not the current task, and
+            # the scheduler is not parked on its gate then.
+            if sim._current is self:
+                sim._current = None
+                sim._sched_gate.release()
 
     def _finish_waiters(self) -> None:
         """Complete the join futures according to the final state."""
@@ -250,7 +269,9 @@ class Simulator:
         self._buckets: dict = {}  # time -> deque of (seq, kind, payload)
         self._tasks: List[Task] = []
         self._current: Optional[Task] = None
-        self._sched_evt = threading.Event()
+        #: held while the scheduler is parked waiting for the running
+        #: task to block or finish
+        self._sched_gate = _held_lock()
         self._in_run = False
         self._closed = False
         #: double-completions suppressed by deferred Future fire/fail
@@ -320,9 +341,8 @@ class Simulator:
         task.state = TaskState.BLOCKED
         task.wait_reason = reason
         self._current = None
-        self._sched_evt.set()
-        task._resume_evt.wait()
-        task._resume_evt.clear()
+        self._sched_gate.release()
+        task._gate.acquire()
         if task._kill:
             raise _Kill()
         task.state = TaskState.RUNNING
@@ -349,11 +369,10 @@ class Simulator:
 
     def _give_control(self, task: Task) -> None:
         self._current = task
-        self._sched_evt.clear()
         if task._thread is None:
             task._start_thread()
-        task._resume_evt.set()
-        self._sched_evt.wait()
+        task._gate.release()
+        self._sched_gate.acquire()
         if task.state is TaskState.FAILED and not task._error_delivered:
             err = task.error
             self.close()
@@ -448,7 +467,7 @@ class Simulator:
                 # there is no thread to unwind.
                 task.state = TaskState.KILLED
                 continue
-            task._resume_evt.set()
+            task._gate.release()
         for task in self._tasks:
             if task._thread is not None:
                 task._thread.join(timeout=5.0)

@@ -66,13 +66,37 @@ class TestSymmetricAlloc:
         assert len(set(offsets.values())) == 1
 
     def test_size_mismatch_rejected(self):
-        w, rt = make()
-
-        def prog(ctx):
+        def size_mismatch(ctx):
             ctx.diomp.alloc(4 * KiB if ctx.rank else 8 * KiB)
 
-        with pytest.raises(CommunicationError, match="mismatch"):
-            run_spmd(w, prog)
+        def device_mismatch(ctx):
+            ctx.diomp.alloc(4 * KiB, device_num=ctx.rank % 2)
+
+        cases = [
+            (size_mismatch, {}, "sizes={8192, 4096}"),
+            (device_mismatch, {"devices_per_rank": 2}, "devices={0, 1}"),
+        ]
+        for prog, shape, detail in cases:
+            w = World(platform_a(with_quirk=False), num_nodes=1, **shape)
+            DiompRuntime(w)
+            with pytest.raises(CommunicationError, match="mismatch"):
+                run_spmd(w, prog)
+
+            # Every rank raises the same error, not only the first.
+            w = World(platform_a(with_quirk=False), num_nodes=1, **shape)
+            DiompRuntime(w)
+            seen = {}
+
+            def record(ctx, prog=prog, seen=seen):
+                try:
+                    prog(ctx)
+                except CommunicationError as exc:
+                    seen[ctx.rank] = str(exc)
+
+            run_spmd(w, record)
+            assert sorted(seen) == list(range(w.nranks))
+            assert len(set(seen.values())) == 1
+            assert detail in seen[0]
 
     def test_free_and_reuse_offset(self):
         w, rt = make(nodes=1)

@@ -1,6 +1,7 @@
 """Bounded-memory span collection: budgets, sampling, spill."""
 
 import json
+import random
 
 import pytest
 
@@ -125,6 +126,70 @@ class TestSamplingMode:
         assert s.memory_bytes == s.kept * SPAN_COST_BYTES
         assert s.sampling
         assert s.to_dict()["kept"] == s.kept
+
+
+class LinearScanStore(SpanStore):
+    """Reference store: finds each eviction victim by scanning every
+    track (first track in insertion order with the largest reservoir)."""
+
+    def _index(self, sample):
+        pass
+
+    def _make_room(self, exempt=None):
+        if self._kept < self.budget.max_spans:
+            return True
+        victim = None
+        for sample in self._tracks.values():
+            if sample is exempt or not sample.reservoir:
+                continue
+            if victim is None or len(sample.reservoir) > len(victim.reservoir):
+                victim = sample
+        if victim is None:
+            return False
+        victim.reservoir.pop(self._rng.randrange(len(victim.reservoir)))
+        self._kept -= 1
+        return True
+
+
+class TestIndexedEviction:
+    @staticmethod
+    def snapshot(store):
+        return [r.span_id for r in store], store.stats(), store._rng.getstate()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_linear_scan(self, seed):
+        rng = random.Random(seed)
+        for _ in range(20):
+            shape = dict(
+                per_track_head=rng.randint(0, 2),
+                per_track_reservoir=rng.choice((1, 2, 3, 6)),
+                seed=rng.randrange(100),
+            )
+            cap = rng.choice((1, 2, 3, 5, 8, 13, 40))
+            tracks = rng.randint(2, 60)
+            stores = [cls(budget(cap, **shape)) for cls in (SpanStore, LinearScanStore)]
+            # Tracks appear progressively and a few are much busier
+            # than the rest, so reservoirs differ in size and tie.
+            stream = [
+                f"t{rng.randrange(min(tracks, 1 + i // 6))}" if rng.random() < 0.7
+                else f"t{rng.randrange(3)}"
+                for i in range(400)
+            ]
+            for i, track in enumerate(stream[:250]):
+                for store in stores:
+                    store.append(span(i, track=track))
+                if i % 50 == 49:
+                    assert self.snapshot(stores[0]) == self.snapshot(stores[1])
+            smaller = budget(max(1, cap // 2), per_track_head=rng.randint(0, 2),
+                             per_track_reservoir=rng.choice((1, 2, 4)))
+            for store in stores:
+                store.set_budget(smaller)
+            assert self.snapshot(stores[0]) == self.snapshot(stores[1])
+            for i, track in enumerate(stream[250:], start=250):
+                for store in stores:
+                    store.append(span(i, track=track))
+            assert self.snapshot(stores[0]) == self.snapshot(stores[1])
+            assert stores[0].sampling
 
 
 class TestSetBudget:

@@ -1,8 +1,10 @@
 """Tests for the discrete-event simulation kernel."""
 
+import threading
+
 import pytest
 
-from repro.sim import Simulator, TaskState
+from repro.sim import Future, Simulator, TaskState
 from repro.util.errors import DeadlockError, SimulationError
 
 
@@ -249,6 +251,45 @@ class TestBoundedRun:
             sim.run(until=1.0)
         # leaving the with-block kills the sleeper without error
 
+    @staticmethod
+    def _thread_errors(monkeypatch):
+        errors = []
+        monkeypatch.setattr(threading, "excepthook", errors.append)
+        return errors
+
+    def test_close_releases_many_blocked_tasks_cleanly(self, monkeypatch):
+        # close() unblocks every parked thread at once; none of them
+        # may hand control back to the (no longer waiting) scheduler.
+        errors = self._thread_errors(monkeypatch)
+        sim = Simulator()
+        never = Future(sim, description="never")
+        tasks = [sim.spawn(never.wait, name=f"w{i}") for i in range(32)]
+        tasks += [sim.spawn(sim.sleep, 10.0, name=f"s{i}") for i in range(32)]
+        sim.run(until=1.0)
+        assert all(t.state is TaskState.BLOCKED for t in tasks)
+        sim.close()
+        assert all(t.state is TaskState.KILLED for t in tasks)
+        assert not any(t._thread.is_alive() for t in tasks)
+        assert errors == []
+
+    def test_failure_with_blocked_peers_closes_cleanly(self, monkeypatch):
+        errors = self._thread_errors(monkeypatch)
+        sim = Simulator()
+        never = Future(sim, description="never")
+        peers = [sim.spawn(never.wait, name=f"p{i}") for i in range(32)]
+
+        def failer():
+            sim.sleep(0.5)
+            raise ValueError("boom")
+
+        sim.spawn(failer, name="failer")
+        with pytest.raises(ValueError, match="boom"):
+            sim.run()
+        sim.close()  # idempotent after the aborting run
+        assert all(t.state is TaskState.KILLED for t in peers)
+        assert not any(t._thread.is_alive() for t in peers)
+        assert errors == []
+
 
 class TestJoinErrorPropagation:
     def test_join_raises_child_error_in_joiner(self):
@@ -451,3 +492,40 @@ class TestSchedulerScaling:
         assert len(done) == 512
         assert done == sorted(done)  # batched resumes keep spawn order
         assert sim.now == 4.0
+
+    def test_handoff_order_under_frequent_thread_switches(self):
+        # Stress the lock-gate hand-off: more task threads than cores
+        # and a tiny interpreter switch interval, so the OS and the
+        # interpreter preempt at every opportunity.  Exactly one task
+        # may run at a time, and the interleaving must not change.
+        import sys
+        import time
+
+        def trace():
+            sim = Simulator()
+            order = []
+            running = []
+
+            def worker(i):
+                for step in range(6):
+                    running.append(i)
+                    assert running == [i], running  # never two at once
+                    order.append((sim.now, i, step))
+                    running.pop()
+                    sim.sleep(((i * 7 + step) % 5) * 0.25)
+
+            for i in range(48):
+                sim.spawn(worker, i)
+            sim.run()
+            return order
+
+        expected = trace()
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t0 = time.perf_counter()
+            assert trace() == expected
+            assert time.perf_counter() - t0 < 30.0
+        finally:
+            sys.setswitchinterval(old)
+        assert len(expected) == 48 * 6
