@@ -68,22 +68,22 @@ GATED_METRICS: Dict[str, MetricSpec] = {
     # 2-node x 4-GPU slice; any drop to 0.0 fails the gate.
     "fig6.allreduce.hier_selected": MetricSpec(0.0, better="higher"),
     # Engine self-profiling (telemetry-on allreduce sweep).  The event
-    # count is deterministic — any drift is a scheduling/code change;
+    # count is deterministic: zero tolerance, one extra park fails;
     # the throughput figures are host wall-clock and vary across
     # machines, so their tolerances only catch order-of-magnitude
     # slowdowns (an accidentally quadratic event loop), not noise.
-    "engine.events": MetricSpec(0.02),
+    "engine.events": MetricSpec(0.0),
     "engine.events_per_sec": MetricSpec(0.90, better="higher"),
     "engine.wall_per_simsec": MetricSpec(4.0),
     # 1024-rank scale sweeps (repro.bench.scale, analytic-rank mode).
-    # Event counts and modelled times are deterministic; the
-    # throughput figure is wall-clock and only guards against the
-    # engine collapsing back into a quadratic regime at scale.
+    # Event counts (zero tolerance) and modelled times are
+    # deterministic; the throughput figure is wall-clock and only
+    # guards against a quadratic regime at scale.
     "scale.1024.allreduce.256KiB": MetricSpec(0.02),
-    "scale.1024.allreduce.events": MetricSpec(0.02),
+    "scale.1024.allreduce.events": MetricSpec(0.0),
     "scale.1024.allreduce.events_per_sec": MetricSpec(0.90, better="higher"),
     "scale.1024.cannon.per_step": MetricSpec(0.02),
-    "scale.1024.cannon.events": MetricSpec(0.02),
+    "scale.1024.cannon.events": MetricSpec(0.0),
     # Cluster-service points (repro.bench.service): seeded virtual-time
     # throughput/latency of the multi-tenant scheduler at an unloaded
     # and a saturated offered load.  Fully deterministic — drift means

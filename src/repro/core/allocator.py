@@ -7,8 +7,10 @@ are interchangeable behind the same two-method interface
 bench compares their fragmentation/throughput trade-off.
 
 Offsets are relative to the segment base, which is what makes
-symmetric allocation work: identical allocator state on every rank
-yields identical offsets for the same collective call sequence.
+symmetric allocation work: the runtime keeps one symmetric heap per
+device number and one host heap, and the last rank to reach an
+allocation's rendezvous allocates from it once.  Every rank adds that
+one offset to its own segment base, so offsets cannot diverge.
 """
 
 from __future__ import annotations

@@ -28,13 +28,16 @@ class GlobalSegment:
     The segment is split into two regions:
 
     * **symmetric region** ``[0, size/2)`` — collective allocations.
-      Every rank's symmetric allocator sees the identical call
-      sequence, so offsets match across ranks (the translation
-      invariant).
+      The segment holds no allocator for it: the runtime's one
+      symmetric heap per device number picks each offset once, at the
+      allocation's rendezvous, and every rank places its buffer there.
+      Offsets therefore agree across ranks by construction (the
+      translation invariant).
     * **local region** ``[size/2, size)`` — rank-local allocations:
       intercepted libomptarget mappings and the data blocks of
       asymmetric allocations ("at the end of the global segment", §3.2).
-      These differ per rank without perturbing the symmetric allocator.
+      Each segment's own local allocator manages it, so these differ
+      per rank without touching the symmetric heap.
 
     Both regions live inside one reserved, once-registered address
     range, so everything is remotely addressable.
@@ -53,7 +56,6 @@ class GlobalSegment:
         self.owner_rank = owner_rank
         self.base = device.memory.reserve(size)
         self.symmetric_region = size // 2
-        self.symmetric_allocator = make_allocator(allocator_kind, self.symmetric_region)
         self.local_allocator = make_allocator(allocator_kind, size - self.symmetric_region)
         #: installed by the runtime after conduit registration
         self.conduit_segment = None
@@ -67,7 +69,8 @@ class GlobalSegment:
             else None
         )
 
-    def _track_occupancy(self, region: str, allocator) -> None:
+    def track_occupancy(self, region: str, allocator) -> None:
+        """Set this rank's occupancy gauge for ``region``."""
         if self._g_occ is not None:
             self._g_occ.set(
                 allocator.allocated_bytes, rank=self.owner_rank, region=region
@@ -96,27 +99,13 @@ class GlobalSegment:
             self.address_of(offset), size, virtual=virtual, label=label
         )
 
-    def sym_alloc(self, size: int) -> int:
-        """Symmetric-region allocation; returns the segment offset.
-
-        Collective coordination (same sequence on every rank) is the
-        runtime's job; this is the per-rank allocator step.
-        """
-        offset = self.symmetric_allocator.alloc(size)
-        self._track_occupancy("symmetric", self.symmetric_allocator)
-        return offset
-
-    def sym_free(self, offset: int) -> None:
-        self.symmetric_allocator.free(offset)
-        self._track_occupancy("symmetric", self.symmetric_allocator)
-
     def alloc_local(self, size: int, virtual: bool = False, label: str = "") -> DeviceBuffer:
         """Rank-local allocation inside the segment (used by the
         libomptarget plugin and by asymmetric data blocks).  The result
         is remotely addressable — the segment registration covers it —
         but its offset is not coordinated across ranks."""
         offset = self.symmetric_region + self.local_allocator.alloc(size)
-        self._track_occupancy("local", self.local_allocator)
+        self.track_occupancy("local", self.local_allocator)
         return self.place(offset, size, virtual, label or "diomp-local")
 
     def free_local(self, buffer: DeviceBuffer) -> None:
@@ -128,7 +117,7 @@ class GlobalSegment:
                 "collective free"
             )
         self.local_allocator.free(offset - self.symmetric_region)
-        self._track_occupancy("local", self.local_allocator)
+        self.track_occupancy("local", self.local_allocator)
         self.device.memory.free(buffer)
 
     def release(self) -> None:
@@ -148,29 +137,23 @@ class GlobalSegment:
     def released(self) -> bool:
         return self.base is None
 
-    @property
-    def free_bytes(self) -> int:
-        return self.symmetric_allocator.free_bytes + self.local_allocator.free_bytes
-
 
 class HostSegment:
     """One rank's host-side slice of the PGAS space (§3.2: "on the CPU
     side, users can allocate memory in the global address space
     manually using ``omp_alloc``").
 
-    A numpy arena registered once with the conduit; a heap allocator
-    subdivides it with the same symmetric-offset discipline as the
-    device segments.
+    A numpy arena registered once with the conduit.  Offsets into it
+    come from the runtime's one host heap, so they agree across ranks
+    just as device symmetric offsets do.
     """
 
-    def __init__(self, node: int, size: int, allocator_kind: str = "linear", owner_rank: int = 0) -> None:
+    def __init__(self, node: int, size: int) -> None:
         import numpy as np
 
         self.node = node
         self.size = size
-        self.owner_rank = owner_rank
         self.arena = np.zeros(size, dtype=np.uint8)
-        self.allocator = make_allocator(allocator_kind, size)
         #: synthetic base address assigned at conduit registration
         self.base: Optional[int] = None
         self.conduit_segment = None

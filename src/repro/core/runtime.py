@@ -21,6 +21,7 @@ paper requires of all participating nodes.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -29,6 +30,7 @@ import numpy as np
 
 from repro.cluster.memref import MemRef
 from repro.cluster.world import RankContext, World
+from repro.core.allocator import make_allocator
 from repro.core.asymmetric import (
     SECOND_LEVEL_POINTER_BYTES,
     AsymmetricBuffer,
@@ -94,46 +96,12 @@ class DiompParams:
 class _Rendezvous:
     """All-ranks arrival point carrying per-rank payloads."""
 
-    def __init__(self, size: int) -> None:
-        self.size = size
+    def __init__(self) -> None:
         self.payloads: Dict[int, object] = {}
         self.waiters: List[Future] = []
-        #: the ``check`` verdict: an error message, or None if agreed
-        self.result: Optional[str] = None
-
-
-def _sym_alloc_mismatch(seq: int, payloads: Dict[int, object]) -> Optional[str]:
-    """The error of a symmetric allocation whose ranks disagree."""
-    sizes = {p[0] for p in payloads.values()}
-    devs = {p[1] for p in payloads.values()}
-    if len(sizes) != 1 or len(devs) != 1:
-        return (
-            f"symmetric allocation mismatch at #{seq}: sizes={sizes} "
-            f"devices={devs}; use alloc_asymmetric for differing sizes"
-        )
-    return None
-
-
-def _offset_divergence(seq: int, offsets: Dict[int, object]) -> Optional[str]:
-    """The error of symmetric offsets that diverged (an invariant)."""
-    if len(set(offsets.values())) != 1:  # pragma: no cover - invariant
-        return f"symmetric offsets diverged at #{seq}: {offsets}"
-    return None
-
-
-def _host_alloc_mismatch(seq: int, sizes: Dict[int, object]) -> Optional[str]:
-    """The error of a host allocation whose ranks disagree on size."""
-    if len(set(sizes.values())) != 1:
-        return f"host symmetric allocation mismatch at #{seq}: {set(sizes.values())}"
-    return None
-
-
-def _slot_divergence(payloads: Dict[int, object]) -> Optional[str]:
-    """The error of second-level pointer slots that diverged (an invariant)."""
-    slots = {p[2] for p in payloads.values()}
-    if len(slots) != 1:  # pragma: no cover - invariant
-        return f"second-level slots diverged: {slots}"
-    return None
+        #: the ``decide`` outcome: its result, or the exception it raised
+        self.result: object = None
+        self.error: Optional[Exception] = None
 
 
 class DiompRuntime:
@@ -175,15 +143,17 @@ class DiompRuntime:
                 )
                 seg.registrations = 1
                 self.segments[(ctx.rank, device_num)] = seg
+        #: device_num -> the one heap that assigns symmetric offsets
+        self.sym_heaps = {
+            device_num: make_allocator(self.params.allocator, self.params.segment_size // 2)
+            for device_num in range(world.devices_per_rank)
+        }
+        #: the one heap over every rank's host segment
+        self.host_heap = make_allocator(self.params.allocator, self.params.host_segment_size)
         #: rank -> host-side global segment (the omp_alloc space)
         self.host_segments: Dict[int, HostSegment] = {}
         for ctx in world.ranks:
-            hseg = HostSegment(
-                ctx.node,
-                self.params.host_segment_size,
-                allocator_kind=self.params.allocator,
-                owner_rank=ctx.rank,
-            )
+            hseg = HostSegment(ctx.node, self.params.host_segment_size)
             seg = self.conduit.client(ctx.rank).attach_segment(
                 MemRef.host(ctx.node, hseg.arena)
             )
@@ -225,19 +195,15 @@ class DiompRuntime:
                 f"finalize with {pending} unfenced RMA operation(s); call "
                 "ompx_fence before shutdown"
             )
-        sym_live = sum(
-            seg.symmetric_allocator.live_allocations for seg in self.segments.values()
-        )
+        # A leaked collective allocation counts once per rank holding it.
+        sym_live = sum(heap.live_allocations for heap in self.sym_heaps.values())
         local_live = sum(
             seg.local_allocator.live_allocations for seg in self.segments.values()
         )
-        host_live = sum(
-            seg.allocator.live_allocations for seg in self.host_segments.values()
-        )
         return {
-            "symmetric_leaks": sym_live,
+            "symmetric_leaks": sym_live * self.world.nranks,
             "local_leaks": local_live,
-            "host_leaks": host_live,
+            "host_leaks": self.host_heap.live_allocations * self.world.nranks,
         }
 
     # -- lookups --------------------------------------------------------------
@@ -249,6 +215,12 @@ class DiompRuntime:
             raise ConfigurationError(
                 f"no global segment for rank {rank} device {device_num}"
             ) from None
+
+    def sym_heap(self, device_num: int):
+        try:
+            return self.sym_heaps[device_num]
+        except KeyError:
+            raise ConfigurationError(f"no symmetric heap for device {device_num}") from None
 
     def host_segment_of(self, rank: int) -> HostSegment:
         try:
@@ -276,18 +248,20 @@ class DiompRuntime:
         rank: int,
         payload: object,
         size: int,
-        check: Optional[Callable[[Dict[int, object]], Optional[str]]] = None,
+        decide: Optional[Callable[[Dict[int, object]], object]] = None,
     ):
-        """Arrive at a collective point; everyone leaves together with
-        access to all payloads.  Returns the payload dict.
+        """Arrive at a collective point; everyone leaves together.
 
-        ``check`` runs once, on the last arrival, over the complete
-        payloads; if it returns a message, every rank raises one
-        :class:`CommunicationError` with it."""
+        The last arrival runs ``decide`` once over the complete
+        payloads (rank -> payload), before any rank leaves, so a
+        collective choice such as a heap offset is made in one place.
+        Every rank returns its result; if it raised, every rank raises
+        an exception of the same type and message.  Without ``decide``
+        every rank gets the payload dict."""
         key = (kind, seq)
         state = self._rendezvous.get(key)
         if state is None:
-            state = _Rendezvous(size)
+            state = _Rendezvous()
             self._rendezvous[key] = state
         if rank in state.payloads:
             raise CommunicationError(
@@ -301,14 +275,17 @@ class DiompRuntime:
             fut.wait()
         else:
             del self._rendezvous[key]
-            if check is not None:
-                state.result = check(state.payloads)
+            try:
+                state.result = state.payloads if decide is None else decide(state.payloads)
+            except Exception as exc:  # re-raised on every rank below: none stays parked
+                state.error = exc
             waiters, state.waiters = state.waiters, []
             for fut in waiters:
                 fut.fire()
-        if state.result is not None:
-            raise CommunicationError(state.result)
-        return state.payloads
+        if state.error is not None:
+            # A copy per rank: each raise grows its own traceback.
+            raise copy.copy(state.error).with_traceback(state.error.__traceback__)
+        return state.result
 
 
 class Diomp:
@@ -376,43 +353,71 @@ class Diomp:
 
     # -- symmetric allocation (collective) ----------------------------------------
 
+    def _collective(self, kind: str, payload: object, decide, coordinate: bool = True):
+        """One collective allocation or free: take its sequence number,
+        charge the coordination cost (allocations only) and rendezvous
+        once.  Returns ``(seq, decide(seq, payloads))``."""
+        seq = self._alloc_seq
+        self._alloc_seq += 1
+        if coordinate:
+            self.ctx.sim.sleep(self.runtime.params.alloc_coordination_overhead)
+        return seq, self.runtime.rendezvous(
+            kind, seq, self.rank, payload, self.nranks,
+            lambda payloads: decide(seq, payloads),
+        )
+
+    def _free_once(self, kind: str, heap, where: object, offset: int) -> None:
+        """Collective free of the block at ``offset`` of ``heap`` (named
+        ``where``); every rank must free the same block (checked)."""
+
+        def decide(seq, payloads):
+            blocks = set(payloads.values())
+            if len(blocks) != 1:
+                raise CommunicationError(
+                    f"{kind} mismatch at #{seq}: ranks free different "
+                    f"buffers {sorted(blocks)}"
+                )
+            heap.free(offset)
+
+        self._collective(kind, (where, offset), decide, coordinate=False)
+
     def alloc(
         self, nbytes: int, device_num: int = 0, virtual: bool = False
     ) -> GlobalBuffer:
         """``ompx_alloc``: collective symmetric allocation.
 
-        Every rank must call with the same size and device; all ranks
-        receive the same segment offset (verified), preserving the
-        offset-translation invariant.
+        Every rank must call with the same size and device (checked).
+        The last arrival allocates the offset once from the device
+        number's symmetric heap, so every rank receives the same one,
+        preserving the offset-translation invariant.
         """
-        seq = self._alloc_seq
-        self._alloc_seq += 1
-        self.ctx.sim.sleep(self.runtime.params.alloc_coordination_overhead)
-        self.runtime.rendezvous(
-            "sym-alloc", seq, self.rank, (nbytes, device_num), self.nranks,
-            check=lambda payloads: _sym_alloc_mismatch(seq, payloads),
-        )
+
+        def decide(seq, payloads):
+            sizes = {p[0] for p in payloads.values()}
+            devs = {p[1] for p in payloads.values()}
+            if len(sizes) != 1 or len(devs) != 1:
+                raise CommunicationError(
+                    f"symmetric allocation mismatch at #{seq}: sizes={sizes} "
+                    f"devices={devs}; use alloc_asymmetric for differing sizes"
+                )
+            return self.runtime.sym_heap(device_num).alloc(nbytes)
+
+        seq, offset = self._collective("sym-alloc", (nbytes, device_num), decide)
         seg = self.segment(device_num)
-        offset = seg.sym_alloc(nbytes)
+        seg.track_occupancy("symmetric", self.runtime.sym_heaps[device_num])
         virtual = virtual or self.runtime.world.analytic
         local = seg.place(offset, nbytes, virtual, f"sym#{seq}")
-        self.runtime.rendezvous(
-            "sym-alloc-verify", seq, self.rank, offset, self.nranks,
-            check=lambda offsets: _offset_divergence(seq, offsets),
-        )
         return GlobalBuffer(self.rank, device_num, offset, nbytes, local)
 
     def free(self, gbuf: GlobalBuffer) -> None:
-        """Collective free of a symmetric allocation."""
+        """Collective free of a symmetric allocation; every rank must
+        free the same buffer (checked)."""
         if gbuf.freed:
             raise CommunicationError("double free of GlobalBuffer")
-        seq = self._alloc_seq
-        self._alloc_seq += 1
-        self.runtime.rendezvous(
-            "sym-free", seq, self.rank, gbuf.offset, self.nranks
-        )
+        heap = self.runtime.sym_heaps[gbuf.device_num]
+        self._free_once("sym-free", heap, gbuf.device_num, gbuf.offset)
         seg = self.segment(gbuf.device_num)
-        seg.sym_free(gbuf.offset)
+        seg.track_occupancy("symmetric", heap)
         seg.device.memory.free(gbuf.local)
         gbuf.freed = True
 
@@ -421,30 +426,30 @@ class Diomp:
     def alloc_host(self, nbytes: int) -> HostGlobalBuffer:
         """``omp_alloc`` into the host-side global space: collective,
         symmetric, remotely accessible via put/get like device memory."""
-        seq = self._alloc_seq
-        self._alloc_seq += 1
-        self.ctx.sim.sleep(self.runtime.params.alloc_coordination_overhead)
-        self.runtime.rendezvous(
-            "host-alloc", seq, self.rank, nbytes, self.nranks,
-            check=lambda payloads: _host_alloc_mismatch(seq, payloads),
-        )
-        hseg = self.runtime.host_segment_of(self.rank)
-        offset = hseg.allocator.alloc(nbytes)
+
+        def decide(seq, payloads):
+            sizes = set(payloads.values())
+            if len(sizes) != 1:
+                raise CommunicationError(
+                    f"host symmetric allocation mismatch at #{seq}: {sizes}"
+                )
+            return self.runtime.host_heap.alloc(nbytes)
+
+        _seq, offset = self._collective("host-alloc", nbytes, decide)
         self.runtime.obs.gauge(
             "segment.occupancy_bytes", "allocated bytes by rank/region"
-        ).set(hseg.allocator.allocated_bytes, rank=self.rank, region="host")
+        ).set(self.runtime.host_heap.allocated_bytes, rank=self.rank, region="host")
+        hseg = self.runtime.host_segment_of(self.rank)
         return HostGlobalBuffer(self.rank, hseg, offset, nbytes)
 
     def free_host(self, hbuf: HostGlobalBuffer) -> None:
-        """Collective free of a host global allocation."""
+        """Collective free of a host global allocation; every rank must
+        free the same buffer (checked)."""
         if hbuf.freed:
             raise CommunicationError("double free of HostGlobalBuffer")
-        seq = self._alloc_seq
-        self._alloc_seq += 1
-        self.runtime.rendezvous("host-free", seq, self.rank, hbuf.offset, self.nranks)
-        hbuf.segment.allocator.free(hbuf.offset)
+        self._free_once("host-free", self.runtime.host_heap, "host", hbuf.offset)
         self.runtime.obs.gauge("segment.occupancy_bytes").set(
-            hbuf.segment.allocator.allocated_bytes, rank=self.rank, region="host"
+            self.runtime.host_heap.allocated_bytes, rank=self.rank, region="host"
         )
         hbuf.freed = True
 
@@ -454,40 +459,49 @@ class Diomp:
         self, nbytes: int, device_num: int = 0, virtual: bool = False
     ) -> AsymmetricBuffer:
         """``ompx_alloc`` with differing sizes: the second-level-pointer
-        scheme of Fig. 2.  ``nbytes`` may be 0 (no local block)."""
+        scheme of Fig. 2.  ``nbytes`` may be 0 (no local block); every
+        rank must pass the same device (checked)."""
         if nbytes < 0:
             raise CommunicationError(f"negative asymmetric size {nbytes}")
-        seq = self._alloc_seq
-        self._alloc_seq += 1
-        self.ctx.sim.sleep(self.runtime.params.alloc_coordination_overhead)
-        seg = self.segment(device_num)
-        # Uniform 32-byte wrapper in the symmetric region; the slot
-        # itself is always real — it only holds the 8-byte pointer.
-        slot_offset = seg.sym_alloc(SECOND_LEVEL_POINTER_BYTES)
-        slot_buf = seg.place(
-            slot_offset, SECOND_LEVEL_POINTER_BYTES, False, f"asym-slot#{seq}"
+        # The data block honors analytic mode; the pointer slot stays
+        # real — remote dereferences read its value.
+        virtual = virtual or self.runtime.world.analytic
+
+        def decide(seq, payloads):
+            devs = {p[1] for p in payloads.values()}
+            if len(devs) != 1:
+                raise CommunicationError(
+                    f"asymmetric allocation mismatch at #{seq}: devices={devs}"
+                )
+            # One uniform 32-byte wrapper in the symmetric region.  Every
+            # rank's data block is allocated and its slot placed holding
+            # the block's address (what a remote second-level dereference
+            # reads) before any rank leaves.
+            slot_offset = self.runtime.sym_heap(device_num).alloc(
+                SECOND_LEVEL_POINTER_BYTES
+            )
+            sizes = tuple(payloads[rank][0] for rank in range(len(payloads)))
+            blocks = []
+            for rank, size in enumerate(sizes):
+                seg = self.runtime.segment_of(rank, device_num)
+                data = seg.alloc_local(size, payloads[rank][2], f"asym#{seq}") if size else None
+                slot = seg.place(
+                    slot_offset, SECOND_LEVEL_POINTER_BYTES, False, f"asym-slot#{seq}"
+                )
+                slot.as_array(np.int64, count=1)[0] = data.address if data else 0
+                blocks.append((data, slot))
+            addrs = tuple(data.address if data else 0 for data, _slot in blocks)
+            return slot_offset, sizes, addrs, blocks
+
+        seq, (slot_offset, sizes, addrs, blocks) = self._collective(
+            "asym-alloc", (nbytes, device_num, virtual), decide
         )
-        data = None
-        data_addr = 0
-        if nbytes > 0:
-            # The data block honors analytic mode; the pointer slot
-            # above stays real — remote dereferences read its value.
-            virtual = virtual or self.runtime.world.analytic
-            data = seg.alloc_local(nbytes, virtual=virtual, label=f"asym#{seq}")
-            data_addr = data.address
-        # Publish the pointer value in the wrapper (what a remote
-        # second-level dereference reads).
-        slot_buf.as_array(np.int64, count=1)[0] = data_addr
-        payloads = self.runtime.rendezvous(
-            "asym-alloc", seq, self.rank, (nbytes, data_addr, slot_offset), self.nranks,
-            check=_slot_divergence,
+        self.segment(device_num).track_occupancy(
+            "symmetric", self.runtime.sym_heaps[device_num]
         )
-        sizes = tuple(payloads[r][0] for r in range(self.nranks))
-        addrs = tuple(payloads[r][1] for r in range(self.nranks))
-        buf = AsymmetricBuffer(
-            self.rank, device_num, slot_offset, sizes, data, addrs
-        )
-        buf.slot_buffer = slot_buf
+        data, slot = blocks[self.rank]
+        buf = AsymmetricBuffer(self.rank, device_num, slot_offset, sizes, data, addrs)
+        buf.slot_buffer = slot
         # All ranks must share one handle id for cache coherence: derive
         # it deterministically from the allocation sequence.
         buf.handle_id = ("asym", id(self.runtime), seq)  # type: ignore[assignment]
@@ -521,14 +535,14 @@ class Diomp:
             self.rma._m_ptr.inc(inserted, event="prefetch", rank=self.rank)
 
     def free_asymmetric(self, abuf: AsymmetricBuffer) -> None:
-        """Collective free; centrally invalidates pointer caches."""
+        """Collective free; centrally invalidates pointer caches.  Every
+        rank must free the same buffer (checked)."""
         if abuf.freed:
             raise CommunicationError("double free of AsymmetricBuffer")
-        seq = self._alloc_seq
-        self._alloc_seq += 1
-        self.runtime.rendezvous("asym-free", seq, self.rank, None, self.nranks)
+        heap = self.runtime.sym_heaps[abuf.device_num]
+        self._free_once("asym-free", heap, abuf.device_num, abuf.slot_offset)
         seg = self.segment(abuf.device_num)
-        seg.sym_free(abuf.slot_offset)
+        seg.track_occupancy("symmetric", heap)
         seg.device.memory.free(abuf.slot_buffer)
         if abuf.data is not None:
             seg.free_local(abuf.data)

@@ -7,7 +7,7 @@ import pytest
 from repro.cluster import MemRef, World, run_spmd
 from repro.core import Diomp, DiompParams, DiompRuntime
 from repro.hardware import platform_a, platform_c
-from repro.util.errors import CommunicationError, ConfigurationError
+from repro.util.errors import AllocationError, CommunicationError, ConfigurationError
 from repro.util.units import KiB, MiB
 
 
@@ -15,6 +15,22 @@ def make(nodes=2, platform=None, **kw):
     w = World(platform or platform_a(with_quirk=False), num_nodes=nodes)
     rt = DiompRuntime(w, DiompParams(**kw) if kw else None)
     return w, rt
+
+
+def errors_by_rank(prog, error, **params):
+    """Run ``prog`` on a fresh one-node world; rank -> message of the
+    ``error`` it raised.  A rank left parked fails the run."""
+    w, _rt = make(nodes=1, **params)
+    seen = {}
+
+    def record(ctx):
+        try:
+            prog(ctx)
+        except error as exc:
+            seen[ctx.rank] = str(exc)
+
+    run_spmd(w, record)
+    return seen, w.nranks
 
 
 class TestInit:
@@ -97,6 +113,44 @@ class TestSymmetricAlloc:
             assert sorted(seen) == list(range(w.nranks))
             assert len(set(seen.values())) == 1
             assert detail in seen[0]
+
+    def test_mismatched_collective_free_rejected(self):
+        """Ranks freeing different buffers all raise one error instead
+        of each quietly freeing its own."""
+
+        def free(ctx):
+            a, b = ctx.diomp.alloc(4 * KiB), ctx.diomp.alloc(4 * KiB)
+            ctx.diomp.free(a if ctx.rank else b)
+
+        def free_host(ctx):
+            a, b = ctx.diomp.alloc_host(64), ctx.diomp.alloc_host(64)
+            ctx.diomp.free_host(a if ctx.rank else b)
+
+        def free_asymmetric(ctx):
+            a, b = ctx.diomp.alloc_asymmetric(64), ctx.diomp.alloc_asymmetric(64)
+            ctx.diomp.free_asymmetric(a if ctx.rank else b)
+
+        for prog in (free, free_host, free_asymmetric):
+            seen, nranks = errors_by_rank(prog, CommunicationError)
+            assert sorted(seen) == list(range(nranks)), prog.__name__
+            assert len(set(seen.values())) == 1
+            assert "mismatch" in seen[0]
+
+    def test_heap_exhaustion_reaches_every_rank(self):
+        """An allocation the shared heap cannot satisfy raises the same
+        AllocationError on every rank and leaves no peer parked."""
+        params = {"segment_size": 1 * MiB, "host_segment_size": 64 * KiB}
+        cases = [
+            lambda ctx: ctx.diomp.alloc(512 * KiB + 16),
+            lambda ctx: ctx.diomp.alloc_host(64 * KiB + 16),
+            # only rank 0 overflows its local region
+            lambda ctx: ctx.diomp.alloc_asymmetric(1 * MiB if ctx.rank == 0 else 64),
+        ]
+        for prog in cases:
+            seen, nranks = errors_by_rank(prog, AllocationError, **params)
+            assert sorted(seen) == list(range(nranks))
+            assert len(set(seen.values())) == 1
+            assert "exhausted" in seen[0]
 
     def test_free_and_reuse_offset(self):
         w, rt = make(nodes=1)

@@ -218,7 +218,7 @@ class TestScaleAndStress:
                     ctx.diomp.free(live.pop(0))
             for g in live:
                 ctx.diomp.free(g)
-            assert ctx.diomp.segment(0).symmetric_allocator.live_allocations == 0
+            assert ctx.diomp.runtime.sym_heaps[0].live_allocations == 0
 
         run_spmd(w, prog)
 

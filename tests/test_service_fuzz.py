@@ -10,10 +10,13 @@ from its seed alone.  The properties:
   plus the metered leak of failed jobs equal the total;
 * no rank task is left unfinished (only a failed job's gang is killed);
 * no device carries a tenant's fault plan after teardown;
-* turning the SLOs off leaves the record list unchanged.
+* turning the SLOs off leaves the record list unchanged;
+* with SLOs on, the offline replay of the run's export gives the live
+  SLO timeline.
 """
 
 import dataclasses
+import json
 import random
 
 import numpy as np
@@ -22,6 +25,7 @@ import pytest
 from repro.cluster import ClusterService, JobRequest, ServiceConfig, World, poisson_jobs
 from repro.faults import FaultPlan, FaultSpec
 from repro.hardware import platform_a
+from repro.obs.report import _timeline_key, replay_service_export
 from repro.util.units import KiB
 
 KINDS = ("cannon", "minimod", "allreduce")
@@ -162,12 +166,21 @@ def stream_case(seed):
     return jobs, rng.randint(2, 8)
 
 
+def check_slo_replay(res, path):
+    """Replay the run's export from disk, as ``python -m repro.obs slo``
+    does, and compare it with the live timeline."""
+    res.export(str(path))
+    tracker = replay_service_export(json.loads(path.read_text()))
+    assert _timeline_key(tracker.timeline) == _timeline_key(res.timeline)
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_random_streams_conserve_capacity_and_tear_down(seed):
+def test_random_streams_conserve_capacity_and_tear_down(seed, tmp_path):
     # Fault plans are stateful, so each run draws its own from the seed.
     jobs, queue_limit = stream_case(seed)
     on, world, tasks = run_service(jobs, True, queue_limit)
     check_teardown(on, world, tasks)
+    check_slo_replay(on, tmp_path / "run.json")
     jobs, queue_limit = stream_case(seed)
     off, world, tasks = run_service(jobs, False, queue_limit)
     check_teardown(off, world, tasks)
