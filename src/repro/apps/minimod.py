@@ -86,26 +86,47 @@ def _initial_field(cfg: MinimodConfig) -> np.ndarray:
     return u
 
 
-def _laplacian(u: np.ndarray, radius: int) -> np.ndarray:
-    """High-order Laplacian of the interior of a padded block.
+def _laplacian(u: np.ndarray, radius: int, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+    """High-order Laplacian of core planes ``[lo, hi)`` of a padded block.
 
-    ``u`` is padded by ``radius`` on the x axis only (halo planes);
+    ``u`` is padded by ``radius`` on the x axis only (halo planes), so
+    core plane ``i`` is ``u[radius + i]``; ``hi`` defaults to the last
+    core plane.  Only padded planes ``[lo, hi + 2 * radius)`` are read.
     y/z use zero boundaries (the array edges), matching the reference.
+
+    Every element is accumulated in the same order as the plain
+    formulation ``((3 c0) u + c1 (x pair)) + c1 (y pair) + ...``, so
+    the result is bit-identical for any slice.  The float64
+    coefficients promote the products (NumPy 2), so the result is
+    float64 for a float32 field; buffer dtypes follow the same
+    promotion rather than being fixed here.
     """
-    core = u[radius:-radius]
+    r = radius
+    if hi is None:
+        hi = u.shape[0] - 2 * r
+    core = u[r + lo : r + hi]
+    ny, nz = core.shape[1:]
     lap = 3.0 * _COEFFS[0] * core
-    for d in range(1, radius + 1):
-        lap = lap + _COEFFS[d] * (u[radius + d :][: core.shape[0]] + u[radius - d : -radius - d])
-        shifted_yp = np.zeros_like(core)
-        shifted_yp[:, :-d, :] = core[:, d:, :]
-        shifted_ym = np.zeros_like(core)
-        shifted_ym[:, d:, :] = core[:, :-d, :]
-        lap = lap + _COEFFS[d] * (shifted_yp + shifted_ym)
-        shifted_zp = np.zeros_like(core)
-        shifted_zp[:, :, :-d] = core[:, :, d:]
-        shifted_zm = np.zeros_like(core)
-        shifted_zm[:, :, d:] = core[:, :, :-d]
-        lap = lap + _COEFFS[d] * (shifted_zp + shifted_zm)
+    # The core inside a zero border of r on y and z: a neighbour past
+    # the array edge reads +0, so an edge element's pair is ``x + 0``
+    # and a pair with no neighbour on either side is ``0 + 0``.
+    bordered = np.zeros((hi - lo, ny + 2 * r, nz + 2 * r), dtype=core.dtype)
+
+    def shifted(dy: int, dz: int) -> np.ndarray:
+        return bordered[:, r + dy : r + dy + ny, r + dz : r + dz + nz]
+
+    shifted(0, 0)[...] = core
+    pair = np.empty_like(core)
+    prod = np.empty(core.shape, dtype=np.result_type(_COEFFS[1], pair))
+    for d in range(1, r + 1):
+        neighbours = (
+            (u[r + lo + d : r + hi + d], u[r + lo - d : r + hi - d]),
+            (shifted(d, 0), shifted(-d, 0)),
+            (shifted(0, d), shifted(0, -d)),
+        )
+        for plus, minus in neighbours:
+            np.add(plus, minus, out=pair)
+            np.add(lap, np.multiply(_COEFFS[d], pair, out=prod), out=lap)
     return lap
 
 
@@ -238,16 +259,21 @@ def _leapfrog_kernel(cfg: MinimodConfig, lo: int, hi: int) -> Kernel:
     """Update core planes ``[lo, hi)`` (core-relative), leapfrog style:
     the next time level is written into ``u_prev``'s storage, so both
     buffers of the current step are only *read* elsewhere — which is
-    what makes interior/boundary/halo concurrency safe."""
+    what makes interior/boundary/halo concurrency safe.
+
+    The kernel computes the Laplacian of its own planes only: it reads
+    ``u_pad`` planes ``[lo, hi + 2r)`` and ``u_prev_pad`` planes
+    ``[lo + r, hi + r)``, and writes the latter — exactly the access
+    set :func:`repro.plan.apps.minimod_plan` declares.  The update is
+    accumulated in the Laplacian's promoted dtype (float64 for a
+    float32 field under NumPy 2) and rounded once to ``cfg.dtype``."""
 
     def host_fn(u_pad: np.ndarray, u_prev_pad: np.ndarray) -> None:
         r = cfg.radius
-        core = u_pad[r:-r]
-        prev = u_prev_pad[r:-r]
-        lap = _laplacian(u_pad, r)[lo:hi]
-        prev[lo:hi] = (
-            2.0 * core[lo:hi] - prev[lo:hi] + cfg.courant2 * lap
-        ).astype(cfg.dtype)
+        cur = u_pad[r + lo : r + hi]
+        prev = u_prev_pad[r + lo : r + hi]
+        lap = _laplacian(u_pad, r, lo, hi)
+        prev[:] = (2.0 * cur - prev + cfg.courant2 * lap).astype(cfg.dtype)
 
     return Kernel(
         name=f"minimod-leapfrog[{lo}:{hi}]",

@@ -105,7 +105,7 @@ class Ompccl:
     def _trace_rendezvous(self, kind: str, group: DiompGroup, ctx: RankContext) -> None:
         """Cross-link this rank's open collective span with its peers'
         (see :meth:`repro.obs.Observability.rendezvous`)."""
-        self._obs.rendezvous(f"ompccl.{kind}", group.group_id, ctx.rank)
+        self._obs.rendezvous(f"ompccl.{kind}", group.group_id, ctx.rank, group.size)
 
     # -- channel management ------------------------------------------------------
 

@@ -602,7 +602,7 @@ class Diomp:
         with self.runtime.obs.span("barrier", rank=self.rank, group=group.group_id):
             rounds = max(1, int(np.ceil(np.log2(max(group.size, 2)))))
             self.ctx.sim.sleep(rounds * self.runtime.params.barrier_step_overhead)
-            self.runtime.obs.rendezvous("barrier", group.group_id, self.rank)
+            self.runtime.obs.rendezvous("barrier", group.group_id, self.rank, group.size)
             self.runtime.group_barrier(group).wait()
 
     # -- groups ------------------------------------------------------------------

@@ -106,7 +106,8 @@ class Observability:
         self.engine = EngineProfiler(enabled=enabled)
         #: per-(kind, ident, rank) rendezvous sequence numbers
         self._rdv_seq: Dict[Any, int] = {}
-        #: (kind, ident, seq) -> {rank: TraceContext} arrival registry
+        #: (kind, ident, seq) -> {rank: TraceContext} arrival registry;
+        #: a point's entry is dropped when its last member arrives
         self._rdv_ctxs: Dict[Any, Dict[int, TraceContext]] = {}
         #: rendezvous groups up to this size cross-link all pairs
         #: (exact dependency DAG); larger groups link each arrival to
@@ -180,7 +181,7 @@ class Observability:
         rec = self.profiler.record(name, when, when, track=track, links=(ctx,), **args)
         return TraceContext(self.profiler.trace_id, rec.span_id) if rec else None
 
-    def rendezvous(self, kind: str, ident: Any, rank: int) -> None:
+    def rendezvous(self, kind: str, ident: Any, rank: int, members: int) -> None:
         """Cross-link this rank's open span with peers at a rendezvous.
 
         Barriers and collectives are all-to-all synchronization: no
@@ -200,6 +201,10 @@ class Observability:
         dependency ordering is preserved transitively through the
         chain (the critical-path walker follows links hop by hop), at
         2 links per arrival instead of ``2(P-1)``.
+
+        ``members`` is the group size: once that many ranks have
+        arrived the point is complete, and its registry entry is
+        dropped so the registry does not grow with run length.
         """
         mine = self.capture(track=f"rank{rank}")
         if mine is None:
@@ -207,7 +212,8 @@ class Observability:
         seq_key = (kind, ident, rank)
         seq = self._rdv_seq.get(seq_key, 0)
         self._rdv_seq[seq_key] = seq + 1
-        peers = self._rdv_ctxs.setdefault((kind, ident, seq), {})
+        point = (kind, ident, seq)
+        peers = self._rdv_ctxs.setdefault(point, {})
         if len(peers) < self.rendezvous_dense_limit:
             pairs = peers.items()
         else:
@@ -216,6 +222,8 @@ class Observability:
             self.profiler.link(peer_ctx, track=f"rank{rank}")
             self.profiler.link_span(peer_ctx, mine, track=f"rank{peer_rank}")
         peers[rank] = mine
+        if len(peers) >= members:
+            del self._rdv_ctxs[point]
 
     # -- retention and rollups -------------------------------------------------
 

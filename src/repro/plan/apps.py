@@ -16,9 +16,11 @@ derives mechanically what the hand-written variants encode by hand:
 
 Numerics are bit-identical to the hand-written paths on every backend:
 the plan kernels are the same :class:`~repro.device.kernel.Kernel`
-objects (leapfrog slab updates compute the same full-field Laplacian
-and elementwise update as the in-place stencil, so even the naive
-in-place path matches bitwise).
+objects.  Each leapfrog slab update computes the Laplacian of its own
+planes only, reading exactly the planes its ``reads=`` declare; the
+sliced Laplacian accumulates every element in the same order as the
+full-field one, so the slab updates, the in-place stencil and even the
+naive plan path match bitwise.
 """
 
 from __future__ import annotations

@@ -134,9 +134,9 @@ class TestRendezvous:
     def test_bidirectional_links_between_arrivals(self):
         obs = make_obs([0.0, 1.0, 2.0, 3.0])
         with obs.span("barrier", rank=0):
-            obs.rendezvous("barrier", "g0", 0)
+            obs.rendezvous("barrier", "g0", 0, 2)
             with obs.span("barrier", rank=1):
-                obs.rendezvous("barrier", "g0", 1)
+                obs.rendezvous("barrier", "g0", 1, 2)
         r0 = obs.profiler.select("barrier", track="rank0")[0]
         r1 = obs.profiler.select("barrier", track="rank1")[0]
         # The later arrival (rank1) linked the earlier one into itself
@@ -148,9 +148,9 @@ class TestRendezvous:
         obs = make_obs([float(i) for i in range(8)])
         for _ in range(2):
             with obs.span("barrier", rank=0):
-                obs.rendezvous("barrier", "g0", 0)
+                obs.rendezvous("barrier", "g0", 0, 2)
                 with obs.span("barrier", rank=1):
-                    obs.rendezvous("barrier", "g0", 1)
+                    obs.rendezvous("barrier", "g0", 1, 2)
         first0, second0 = obs.profiler.select("barrier", track="rank0")
         first1, second1 = obs.profiler.select("barrier", track="rank1")
         assert first0.links == (first1.span_id,)
@@ -159,8 +159,56 @@ class TestRendezvous:
 
     def test_no_open_span_is_a_no_op(self):
         obs = make_obs([])
-        obs.rendezvous("barrier", "g0", 0)
+        obs.rendezvous("barrier", "g0", 0, 2)
         assert len(obs.spans) == 0
+
+    def test_last_arrival_drops_the_point(self):
+        obs = make_obs([float(i) for i in range(4)])
+        with obs.span("barrier", rank=0):
+            obs.rendezvous("barrier", "g0", 0, 2)
+            assert len(obs._rdv_ctxs) == 1
+            with obs.span("barrier", rank=1):
+                obs.rendezvous("barrier", "g0", 1, 2)
+        assert obs._rdv_ctxs == {}
+
+    @staticmethod
+    def collective_run(k=3):
+        """k rounds of world and subgroup barriers plus collectives."""
+        world = World(platform_a(), num_nodes=1)
+        DiompRuntime(world)
+
+        def prog(ctx):
+            send = ctx.diomp.alloc(1024, virtual=True)
+            recv = ctx.diomp.alloc(1024, virtual=True)
+            pair = ctx.diomp.group_create((0, 1) if ctx.rank < 2 else (2, 3))
+            for _ in range(k):
+                ctx.diomp.barrier()
+                ctx.diomp.allreduce(send, recv)
+                ctx.diomp.barrier(group=pair)
+                ctx.diomp.bcast(send, root_rank=pair.ranks[0], group=pair)
+            return ctx.rank
+
+        run_spmd(world, prog)
+        return world.obs
+
+    def test_registry_empty_after_run_with_unchanged_links(self, monkeypatch):
+        pruned = self.collective_run()
+        assert pruned._rdv_ctxs == {}
+
+        keep = Observability.rendezvous
+        monkeypatch.setattr(
+            Observability,
+            "rendezvous",
+            lambda self, kind, ident, rank, members: keep(self, kind, ident, rank, 1 << 30),
+        )
+        unpruned = self.collective_run()
+        assert len(unpruned._rdv_ctxs) >= 4 * 3
+
+        def links(obs):
+            return [(s.span_id, s.track, s.name, s.links) for s in obs.spans]
+
+        assert any(s.links for s in pruned.spans)
+        assert links(pruned) == links(unpruned)
 
 
 class TestFlowEvents:
