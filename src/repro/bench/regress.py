@@ -76,11 +76,14 @@ GATED_METRICS: Dict[str, MetricSpec] = {
     "engine.events_per_sec": MetricSpec(0.90, better="higher"),
     "engine.wall_per_simsec": MetricSpec(4.0),
     # 1024-rank scale sweeps (repro.bench.scale, analytic-rank mode).
-    # Event counts (zero tolerance) and modelled times are
+    # Event and park counts (zero tolerance) and modelled times are
     # deterministic; the throughput figure is wall-clock and only
-    # guards against a quadratic regime at scale.
+    # guards against a quadratic regime at scale.  Parks per rank are
+    # the blocking hand-offs a rank makes (Simulator._block): one
+    # extra park per blocking call fails the gate.
     "scale.1024.allreduce.256KiB": MetricSpec(0.02),
     "scale.1024.allreduce.events": MetricSpec(0.0),
+    "scale.1024.allreduce.parks_per_rank": MetricSpec(0.0),
     "scale.1024.allreduce.events_per_sec": MetricSpec(0.90, better="higher"),
     "scale.1024.cannon.per_step": MetricSpec(0.02),
     "scale.1024.cannon.events": MetricSpec(0.0),

@@ -104,6 +104,7 @@ def allreduce_scale_stats(
     stats["wall_seconds"] = perf_counter() - wall_t0
     stats["ranks"] = world.nranks
     stats["allreduce_seconds"] = max(res.results)
+    stats["parks"] = world.sim.parks
     stats["virtual_elapsed"] = res.elapsed
     stats["span_stats"] = world.obs.span_stats().to_dict()
     return stats
@@ -154,6 +155,7 @@ def scale_gate_metrics() -> Dict[str, float]:
         "scale.1024.allreduce.256KiB": ar["allreduce_seconds"],
         "scale.1024.allreduce.events": float(ar["events"]),
         "scale.1024.allreduce.events_per_sec": ar["events_per_sec"],
+        "scale.1024.allreduce.parks_per_rank": ar["parks"] / ar["ranks"],
         "scale.1024.cannon.per_step": cn["per_step_seconds"],
         "scale.1024.cannon.events": float(cn["events"]),
     }

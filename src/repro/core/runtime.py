@@ -14,17 +14,17 @@
    group management, OMPCCL collectives, and an OpenMP target runtime
    whose plugin allocates from the global segment.
 
-Collective calls (alloc, free, group create/split) rendezvous through
-shared runtime state, mirroring the coordinated allocation phase the
-paper requires of all participating nodes.
+Collective calls (alloc, free, barrier, group create/split) arrive at
+the runtime's one :class:`~repro.sim.Rendezvous`, mirroring the
+coordinated allocation phase the paper requires of all participating
+nodes; a call's fixed cost is charged as the point's release delay.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import itertools
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from repro.core.streams import StreamPool, StreamPoolParams
 from repro.gasnet import GasnetConduit
 from repro.gpi2 import Gpi2Conduit
 from repro.omptarget import OmpTargetRuntime
-from repro.sim import Barrier, Future
+from repro.sim import Rendezvous
 from repro.util.errors import CommunicationError, ConfigurationError
 from repro.util.units import MiB, US
 
@@ -91,17 +91,6 @@ class DiompParams:
     barrier_step_overhead: float = 1.8 * US
     #: coordination cost charged per collective allocation
     alloc_coordination_overhead: float = 3.0 * US
-
-
-class _Rendezvous:
-    """All-ranks arrival point carrying per-rank payloads."""
-
-    def __init__(self) -> None:
-        self.payloads: Dict[int, object] = {}
-        self.waiters: List[Future] = []
-        #: the ``decide`` outcome: its result, or the exception it raised
-        self.result: object = None
-        self.error: Optional[Exception] = None
 
 
 class DiompRuntime:
@@ -176,8 +165,9 @@ class DiompRuntime:
             handle = Diomp(self, ctx)
             ctx.diomp = handle
             self.handles.append(handle)
-        self._rendezvous: Dict[Tuple[str, int], _Rendezvous] = {}
-        self._group_barriers: Dict[int, Barrier] = {}
+        #: every collective arrival point: allocation, free, barrier,
+        #: group create/split
+        self.rendezvous = Rendezvous(world.sim, name="diomp")
 
     # -- teardown ---------------------------------------------------------------
 
@@ -232,62 +222,6 @@ class DiompRuntime:
         """Allocate the next deterministic group id for this runtime."""
         return next(self._group_ids)
 
-    def group_barrier(self, group: DiompGroup) -> Barrier:
-        if group.group_id not in self._group_barriers:
-            self._group_barriers[group.group_id] = Barrier(
-                self.world.sim, group.size, name=f"diomp-group{group.group_id}"
-            )
-        return self._group_barriers[group.group_id]
-
-    # -- collective rendezvous machinery ------------------------------------------
-
-    def rendezvous(
-        self,
-        kind: str,
-        seq: int,
-        rank: int,
-        payload: object,
-        size: int,
-        decide: Optional[Callable[[Dict[int, object]], object]] = None,
-    ):
-        """Arrive at a collective point; everyone leaves together.
-
-        The last arrival runs ``decide`` once over the complete
-        payloads (rank -> payload), before any rank leaves, so a
-        collective choice such as a heap offset is made in one place.
-        Every rank returns its result; if it raised, every rank raises
-        an exception of the same type and message.  Without ``decide``
-        every rank gets the payload dict."""
-        key = (kind, seq)
-        state = self._rendezvous.get(key)
-        if state is None:
-            state = _Rendezvous()
-            self._rendezvous[key] = state
-        if rank in state.payloads:
-            raise CommunicationError(
-                f"rank {rank} arrived twice at collective {kind}#{seq}"
-            )
-        state.payloads[rank] = payload
-        sim = self.world.sim
-        if len(state.payloads) < size:
-            fut = Future(sim, description=f"diomp-{kind}#{seq}")
-            state.waiters.append(fut)
-            fut.wait()
-        else:
-            del self._rendezvous[key]
-            try:
-                state.result = state.payloads if decide is None else decide(state.payloads)
-            except Exception as exc:  # re-raised on every rank below: none stays parked
-                state.error = exc
-            waiters, state.waiters = state.waiters, []
-            for fut in waiters:
-                fut.fire()
-        if state.error is not None:
-            # A copy per rank: each raise grows its own traceback.
-            raise copy.copy(state.error).with_traceback(state.error.__traceback__)
-        return state.result
-
-
 class Diomp:
     """One rank's DiOMP handle — the ``ompx_*`` API surface."""
 
@@ -309,7 +243,7 @@ class Diomp:
         #: libomptarget with the DiOMP allocator installed (Fig. 1b)
         self.omp = OmpTargetRuntime(ctx, plugin=self.plugin)
         self._alloc_seq = 0
-        #: per-collective-key call counts (group create/split sequencing)
+        #: per-collective-key call counts (barrier, group create/split)
         self._coll_counts: Dict[object, int] = {}
 
     # -- infrastructure ------------------------------------------------------------
@@ -354,16 +288,15 @@ class Diomp:
     # -- symmetric allocation (collective) ----------------------------------------
 
     def _collective(self, kind: str, payload: object, decide, coordinate: bool = True):
-        """One collective allocation or free: take its sequence number,
-        charge the coordination cost (allocations only) and rendezvous
-        once.  Returns ``(seq, decide(seq, payloads))``."""
+        """One collective allocation or free: take its sequence number
+        and rendezvous once, released after the coordination cost
+        (allocations only).  Returns ``(seq, decide(seq, payloads))``."""
         seq = self._alloc_seq
         self._alloc_seq += 1
-        if coordinate:
-            self.ctx.sim.sleep(self.runtime.params.alloc_coordination_overhead)
-        return seq, self.runtime.rendezvous(
-            kind, seq, self.rank, payload, self.nranks,
-            lambda payloads: decide(seq, payloads),
+        delay = self.runtime.params.alloc_coordination_overhead if coordinate else 0.0
+        return seq, self.runtime.rendezvous.arrive(
+            (kind, seq), self.rank, payload, self.nranks,
+            lambda payloads: decide(seq, payloads), delay,
         )
 
     def _free_once(self, kind: str, heap, where: object, offset: int) -> None:
@@ -601,11 +534,21 @@ class Diomp:
         self.fence(group=scope)
         with self.runtime.obs.span("barrier", rank=self.rank, group=group.group_id):
             rounds = max(1, int(np.ceil(np.log2(max(group.size, 2)))))
-            self.ctx.sim.sleep(rounds * self.runtime.params.barrier_step_overhead)
             self.runtime.obs.rendezvous("barrier", group.group_id, self.rank, group.size)
-            self.runtime.group_barrier(group).wait()
+            self._arrive(
+                ("barrier", group.group_id), self.rank, None, group.size,
+                delay=rounds * self.runtime.params.barrier_step_overhead,
+            )
 
     # -- groups ------------------------------------------------------------------
+
+    def _arrive(self, key: object, member: int, payload: object, size: int, delay: float = 0.0):
+        """Arrive at this rank's next point of collective ``key``.  Points
+        are sequenced per key: every member calls a collective the same
+        number of times, so per-rank counts agree."""
+        seq = self._coll_counts.get(key, 0)
+        self._coll_counts[key] = seq + 1
+        return self.runtime.rendezvous.arrive((key, seq), member, payload, size, delay=delay)
 
     def group_create(self, ranks: Sequence[int]) -> DiompGroup:
         """Create a group (collective among its members; every member
@@ -615,15 +558,9 @@ class Diomp:
             raise CommunicationError(
                 f"rank {self.rank} cannot create a group it is not in"
             )
-        # Sequence per ranks-tuple: every member calls this collective
-        # the same number of times, so per-rank counts agree.
-        key = ("group-create", ranks)
-        seq = self._coll_counts.get(key, 0)
-        self._coll_counts[key] = seq + 1
         key_rank = ranks.index(self.rank)
-        groups = self.runtime.rendezvous(
-            f"group-{ranks!r}",
-            seq,
+        groups = self._arrive(
+            ("group-create", ranks),
             key_rank,
             DiompGroup.create(
                 ranks,
@@ -643,12 +580,8 @@ class Diomp:
 
     def group_split(self, group: DiompGroup, color: int) -> Optional[DiompGroup]:
         """Split a group by color (members with negative color opt out)."""
-        key = ("group-split", group.group_id)
-        seq = self._coll_counts.get(key, 0)
-        self._coll_counts[key] = seq + 1
-        payloads = self.runtime.rendezvous(
-            f"split-{group.group_id}", seq, group.group_rank(self.rank),
-            color, group.size,
+        payloads = self._arrive(
+            ("group-split", group.group_id), group.group_rank(self.rank), color, group.size
         )
         if color < 0:
             return None

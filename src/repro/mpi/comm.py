@@ -30,7 +30,7 @@ from repro.cluster.memref import MemRef
 from repro.cluster.world import World
 from repro.mpi.params import MpiParams
 from repro.mpi.requests import Request
-from repro.sim import Barrier, Future
+from repro.sim import Future, Rendezvous
 from repro.util.errors import CommunicationError
 
 ANY_SOURCE = -1
@@ -38,9 +38,6 @@ ANY_TAG = -1
 
 #: wire size of RTS/CTS control messages
 _CTRL_BYTES = 64
-
-_context_ids = itertools.count(1)
-
 
 @dataclasses.dataclass
 class _Envelope:
@@ -181,8 +178,11 @@ class MpiWorld:
             Communicator(self, rank, list(range(world.nranks)), context_id=0)
             for rank in range(world.nranks)
         ]
-        self._barriers: Dict[Tuple[int, int], Barrier] = {}
-        self._split_state: Dict[Tuple[int, int], dict] = {}
+        #: context ids for split communicators (0 is COMM_WORLD); per
+        #: instance, so identical runs in one process get identical ids
+        self._context_ids = itertools.count(1)
+        #: communicator-creation arrival points (``split``)
+        self.rendezvous = Rendezvous(world.sim, name="mpi")
         #: per-instance RMA window registry (see repro.mpi.rma.Window);
         #: instance-scoped so distinct worlds can never collide
         self.window_registry: Dict[tuple, dict] = {}
@@ -197,14 +197,6 @@ class MpiWorld:
             self._engines[key] = _MatchingEngine()
         return self._engines[key]
 
-    def coordination_barrier(self, context_id: int, size: int) -> Barrier:
-        """Zero-cost control-plane barrier per communicator (used for
-        window/communicator creation bookkeeping)."""
-        key = (context_id, size)
-        if key not in self._barriers:
-            self._barriers[key] = Barrier(self.world.sim, size, name=f"mpi-coord{key}")
-        return self._barriers[key]
-
 
 class Communicator:
     """One rank's view of a communicator (``MPI_Comm``)."""
@@ -214,14 +206,14 @@ class Communicator:
         mpi: MpiWorld,
         world_rank: int,
         group: List[int],
-        context_id: Optional[int] = None,
+        context_id: int,
     ) -> None:
         if world_rank not in group:
             raise CommunicationError(f"rank {world_rank} is not in the group {group}")
         self.mpi = mpi
         self.world_rank = world_rank
         self.group = group
-        self.context_id = next(_context_ids) if context_id is None else context_id
+        self.context_id = context_id
         self.rank = group.index(world_rank)
         self._split_seq = 0
 
@@ -440,22 +432,21 @@ class Communicator:
         """``MPI_Comm_split`` (color < 0 means "not a member")."""
         seq = self._split_seq
         self._split_seq += 1
-        state_key = (self.context_id, seq)
-        state = self.mpi._split_state.setdefault(
-            state_key, {"members": {}, "context": next(_context_ids)}
-        )
-        state["members"][self.rank] = (color, key, self.world_rank)
+
+        def decide(payloads):
+            # One fresh context per distinct color: a split's
+            # communicators never share a context with any other.
+            groups = {}
+            for col in sorted({c for c, _k, _wr in payloads.values() if c >= 0}):
+                members = sorted((k, wr) for c, k, wr in payloads.values() if c == col)
+                groups[col] = (next(self.mpi._context_ids), [wr for _k, wr in members])
+            return groups
+
         # Control-plane rendezvous: all members must arrive.
-        self.mpi.coordination_barrier(self.context_id * 10000 + seq, self.size).wait()
+        groups = self.mpi.rendezvous.arrive(
+            (self.context_id, seq), self.rank, (color, key, self.world_rank), self.size, decide
+        )
         if color < 0:
             return None
-        members = [
-            (k, wr)
-            for r, (c, k, wr) in sorted(state["members"].items())
-            if c == color
-        ]
-        members.sort()
-        group = [wr for _k, wr in members]
-        return Communicator(
-            self.mpi, self.world_rank, group, context_id=state["context"] + color
-        )
+        context_id, group = groups[color]
+        return Communicator(self.mpi, self.world_rank, list(group), context_id)

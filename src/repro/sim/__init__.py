@@ -18,12 +18,14 @@ Public surface:
   network events, device events and stream completions)
 * :class:`Channel`, :class:`Semaphore`, :class:`Lock`,
   :class:`Barrier` — blocking coordination primitives in virtual time
+* :class:`Rendezvous` — keyed all-member arrival points: the last
+  arrival decides once over every payload, everyone leaves together
 * :class:`Tracer` — structured event trace used by tests and the bench
   harness
 """
 
 from repro.sim.core import Simulator, Task, TaskState
-from repro.sim.sync import Future, Channel, Semaphore, Lock, Barrier
+from repro.sim.sync import Future, Channel, Semaphore, Lock, Barrier, Rendezvous
 from repro.sim.trace import Tracer, TraceRecord
 
 __all__ = [
@@ -35,6 +37,7 @@ __all__ = [
     "Semaphore",
     "Lock",
     "Barrier",
+    "Rendezvous",
     "Tracer",
     "TraceRecord",
 ]

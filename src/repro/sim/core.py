@@ -277,6 +277,8 @@ class Simulator:
         #: double-completions suppressed by deferred Future fire/fail
         #: (see :meth:`repro.sim.sync.Future.fire`)
         self.suppressed_completions = 0
+        #: blocking hand-offs so far: one per :meth:`_block` call
+        self.parks = 0
 
     # -- event queue ---------------------------------------------------------
 
@@ -340,6 +342,7 @@ class Simulator:
             )
         task.state = TaskState.BLOCKED
         task.wait_reason = reason
+        self.parks += 1
         self._current = None
         self._sched_gate.release()
         task._gate.acquire()

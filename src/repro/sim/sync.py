@@ -7,13 +7,15 @@ is needed, only bookkeeping lists.
 :class:`Future` is the workhorse — network completions, device events,
 stream completions and ``join()`` are all Futures underneath.  The
 remaining classes mirror the usual concurrency toolbox but advance the
-*virtual* clock instead of wall time.
+*virtual* clock instead of wall time.  :class:`Rendezvous` is the one
+payload-carrying all-member arrival point.
 """
 
 from __future__ import annotations
 
 import collections
-from typing import Any, Deque, List, Optional
+import copy
+from typing import Any, Callable, Deque, Dict, Hashable, List, Optional
 
 from repro.sim.core import Simulator, Task
 from repro.util.errors import SimulationError
@@ -264,6 +266,62 @@ class Lock:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.release()
+
+
+class Rendezvous:
+    """Keyed all-member arrival points carrying per-member payloads.
+
+    The last of ``size`` members to arrive at a point runs ``decide``
+    once over every payload (member -> payload); all leave together
+    ``delay`` later.  A fixed cost every member would sleep before
+    arriving is passed as ``delay`` instead: the release instant
+    ``max(arrival) + delay`` is the same, reached with one block per
+    member instead of two.  Non-last members wait on the point's one
+    shared :class:`Future`; the last sleeps ``delay`` (when positive),
+    then fires it, so it resumes first and the others in arrival order.
+    """
+
+    def __init__(self, sim: Simulator, name: str = "rendezvous") -> None:
+        self.sim = sim
+        self.name = name
+        #: key -> (payloads, done) of points not every member reached
+        self._points: Dict[Hashable, tuple] = {}
+
+    def arrive(
+        self,
+        key: Hashable,
+        member: Hashable,
+        payload: Any,
+        size: int,
+        decide: Optional[Callable[[Dict[Hashable, Any]], Any]] = None,
+        delay: float = 0.0,
+    ) -> Any:
+        """Return ``decide(payloads)`` (the payloads without ``decide``)
+        on every member, or raise a copy of what ``decide`` raised on
+        every member.  A member arriving twice at a point raises."""
+        point = self._points.get(key)
+        if point is None:
+            point = self._points[key] = ({}, Future(self.sim, f"{self.name}{key!r}"))
+        payloads, done = point
+        if member in payloads:
+            raise SimulationError(f"{member!r} arrived twice at {self.name} {key!r}")
+        payloads[member] = payload
+        if len(payloads) < size:
+            result, error = done.wait()
+        else:
+            del self._points[key]
+            result = error = None
+            try:
+                result = payloads if decide is None else decide(payloads)
+            except Exception as exc:  # re-raised by every member below
+                error = exc
+            if delay > 0.0:
+                self.sim.sleep(delay)
+            done.fire((result, error))
+        if error is not None:
+            # A copy per member: each raise grows its own traceback.
+            raise copy.copy(error).with_traceback(error.__traceback__)
+        return result
 
 
 class Barrier:

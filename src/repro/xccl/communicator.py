@@ -33,7 +33,7 @@ from repro.cluster.memref import MemRef
 from repro.cluster.world import World
 from repro.device.driver import Device
 from repro.hardware.topology import DeviceId
-from repro.sim import Future
+from repro.sim import Future, Rendezvous
 from repro.util.errors import CommunicationError
 from repro.xccl.algorithms import Selection, select_algorithm
 from repro.xccl.params import XcclParams
@@ -73,7 +73,6 @@ class _CommState:
     ctopo: Optional[CommTopology] = None
     bottleneck_bw: float = 0.0
     hop_latency: float = 0.0
-    init_barrier_waiters: List[Future] = dataclasses.field(default_factory=list)
     pending: Dict[int, _PendingCollective] = dataclasses.field(default_factory=dict)
     #: (op, nbytes, forced-algo) -> Selection.  The topology and params
     #: are frozen after init, so pricing is a pure function of the key;
@@ -89,6 +88,8 @@ class XcclContext:
         self.world = world
         self.params = params
         self._comms: Dict[UniqueId, _CommState] = {}
+        #: ``init_rank`` arrival points, one per UniqueId
+        self._joins = Rendezvous(world.sim, name="xccl-init")
         # -- metrics (device-slot collective launches; repro.obs) --
         obs = world.obs
         self._m_launches = obs.counter(
@@ -146,22 +147,16 @@ class XcclComm:
         if dev_rank in state.devices:
             raise CommunicationError(f"device rank {dev_rank} already joined {uid}")
         state.devices[dev_rank] = device.device_id
-        sim = ctx.world.sim
-        if len(state.devices) < ndev:
-            fut = Future(sim, description=f"xccl-init:{uid}")
-            state.init_barrier_waiters.append(fut)
-            fut.wait()
-        else:
-            # Last joiner: detect topology, charge init, release everyone.
-            ring = build_ring([state.devices[i] for i in range(ndev)])
-            state.ring = ring
-            state.ctopo = analyze(ctx.world.topology, ring, ctx.params)
+
+        def detect(_payloads) -> None:
+            # Last joiner: detect topology once; init is charged as the
+            # release delay.
+            state.ring = build_ring([state.devices[i] for i in range(ndev)])
+            state.ctopo = analyze(ctx.world.topology, state.ring, ctx.params)
             state.bottleneck_bw = state.ctopo.flat_bw
             state.hop_latency = state.ctopo.flat_hop_latency
-            sim.sleep(ctx.params.init_overhead)
-            waiters, state.init_barrier_waiters = state.init_barrier_waiters, []
-            for fut in waiters:
-                fut.fire()
+
+        ctx._joins.arrive(uid, dev_rank, None, ndev, detect, ctx.params.init_overhead)
         return cls(ctx, state, dev_rank, device)
 
     @property

@@ -685,3 +685,88 @@ class TestGroupScopedBarrier:
 
         run_spmd(w, prog)
         assert out["pending"] == 0
+
+
+class TestCollectiveTiming:
+    """Collective calls release at max(arrival) + their fixed cost,
+    bit for bit, with one block per rank."""
+
+    #: staggered, irregular arrival offsets (one per rank of 2 nodes)
+    STAGGER = (3.7e-6, 0.0, 1.3e-5, 2.1e-6, 9.9e-6, 1.3e-5, 4.4e-7, 7.25e-6)
+
+    def _run(self, call, nodes=2):
+        """Run ``call(ctx)`` after a staggered sleep on every rank of a
+        fresh world; returns (arrivals, releases, blocks inside call)."""
+        w, rt = make(nodes=nodes)
+        sim = w.sim
+        blocks = {}
+        real_block = sim._block
+
+        def counting_block(reason):
+            name = sim.current_task.name
+            blocks[name] = blocks.get(name, 0) + 1
+            return real_block(reason)
+
+        sim._block = counting_block
+        arrivals, releases, parks = {}, {}, {}
+
+        def prog(ctx):
+            ctx.sim.sleep(self.STAGGER[ctx.rank])
+            name = ctx.sim.current_task.name
+            before = blocks.get(name, 0)
+            arrivals[ctx.rank] = ctx.sim.now
+            call(ctx)
+            releases[ctx.rank] = ctx.sim.now
+            parks[ctx.rank] = blocks.get(name, 0) - before
+
+        run_spmd(w, prog)
+        return rt, arrivals, releases, parks
+
+    def _assert_release(self, arrivals, releases, cost):
+        # The old sleep-then-wait formula: every rank slept ``cost``
+        # before waiting for the last one.
+        expected = max(a + cost for a in arrivals.values())
+        assert expected == max(arrivals.values()) + cost
+        assert set(releases.values()) == {expected}
+
+    def test_barrier_releases_after_dissemination_rounds(self):
+        rt, arrivals, releases, parks = self._run(lambda ctx: ctx.diomp.barrier())
+        rounds = 3  # ceil(log2(8))
+        self._assert_release(arrivals, releases, rounds * rt.params.barrier_step_overhead)
+        assert sorted(parks.values()) == [1] * len(parks)
+
+    def test_sub_group_barrier_releases_after_its_rounds(self):
+        members = (1, 3, 6)
+        w, rt = make()
+        arrivals, releases = {}, {}
+
+        def prog(ctx):
+            if ctx.rank not in members:
+                return
+            sub = ctx.diomp.group_create(members)
+            ctx.sim.sleep(self.STAGGER[ctx.rank])
+            arrivals[ctx.rank] = ctx.sim.now
+            ctx.diomp.barrier(sub)
+            releases[ctx.rank] = ctx.sim.now
+
+        run_spmd(w, prog)
+        rounds = 2  # ceil(log2(3))
+        self._assert_release(arrivals, releases, rounds * rt.params.barrier_step_overhead)
+
+    def test_alloc_releases_after_coordination(self):
+        rt, arrivals, releases, parks = self._run(lambda ctx: ctx.diomp.alloc(4 * KiB))
+        self._assert_release(arrivals, releases, rt.params.alloc_coordination_overhead)
+        assert sorted(parks.values()) == [1] * len(parks)
+
+    def test_collective_free_has_no_delay(self):
+        w, _rt = make()
+        released = {}
+
+        def prog(ctx):
+            buf = ctx.diomp.alloc_host(KiB)
+            allocated = ctx.sim.now
+            ctx.diomp.free_host(buf)
+            released[ctx.rank] = ctx.sim.now - allocated
+
+        run_spmd(w, prog)
+        assert set(released.values()) == {0.0}

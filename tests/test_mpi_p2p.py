@@ -323,6 +323,56 @@ class TestCommSplit:
         run_spmd(w, prog)
         assert out == {"world": 6, "sub": 5}
 
+    @staticmethod
+    def _split_twice(nodes=1):
+        """Split by parity into colors 0 and 4, then everyone into one
+        color 0 with permuted keys; world rank 3 sends 11 on the first
+        communicator and 22 on the second to world rank 1, which
+        receives on the second first."""
+        w, mpi = make_mpi(nodes=nodes)
+        contexts, got = {}, {}
+
+        def prog(ctx):
+            comm = mpi.comm_world(ctx.rank)
+            a = comm.split(4 * (ctx.rank % 2))
+            b = comm.split(0, key=(0, 2, 3, 1)[ctx.rank])
+            # Colors at and beyond nranks, one per rank.
+            c = comm.split(ctx.rank + comm.size)
+            contexts[ctx.rank] = (a.context_id, b.context_id, c.context_id)
+            if ctx.rank == 3:
+                a.send(href(ctx, np.array([11], dtype=np.int32)), dest=a.group.index(1))
+                b.send(href(ctx, np.array([22], dtype=np.int32)), dest=b.group.index(1))
+            elif ctx.rank == 1:
+                buf = np.zeros(1, dtype=np.int32)
+                b.recv(href(ctx, buf), source=b.group.index(3))
+                got["b"] = int(buf[0])
+                a.recv(href(ctx, buf), source=a.group.index(3))
+                got["a"] = int(buf[0])
+
+        run_spmd(w, prog)
+        return mpi, contexts, got
+
+    def test_split_contexts_distinct_and_isolated(self):
+        mpi, contexts, got = self._split_twice()
+        assert got == {"b": 22, "a": 11}
+        # One context per (split, color): parity colors 0 and 4, the one
+        # shared color of the second split, and four singleton colors.
+        per_color = {}
+        for rank, (a, b, c) in contexts.items():
+            for comm_color, ctx_id in (
+                (("a", 4 * (rank % 2)), a), (("b", 0), b), (("c", rank + 4), c)
+            ):
+                assert per_color.setdefault(comm_color, ctx_id) == ctx_id
+        assert len(per_color) == 7
+        assert len(set(per_color.values())) == 7
+        assert 0 not in per_color.values()  # COMM_WORLD's context
+        assert not mpi.rendezvous._points  # every split point was dropped
+
+    def test_split_context_ids_repeat_across_worlds(self):
+        _mpi, first, _got = self._split_twice()
+        _mpi, second, _got = self._split_twice()
+        assert first == second
+
     def test_negative_color_excluded(self):
         w, mpi = make_mpi(nodes=1)
         out = {}

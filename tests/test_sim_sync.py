@@ -1,8 +1,11 @@
 """Tests for virtual-time coordination primitives."""
 
-import pytest
+import collections
 
-from repro.sim import Barrier, Channel, Future, Lock, Semaphore, Simulator
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.sim import Barrier, Channel, Future, Lock, Rendezvous, Semaphore, Simulator
 from repro.util.errors import SimulationError
 
 
@@ -398,3 +401,124 @@ class TestDeferredCompletion:
         with pytest.raises(SimulationError):
             fut.fail(RuntimeError("late"))
         assert sim.suppressed_completions == 0
+
+
+def _count_blocks(sim):
+    """Per-task block counts, taken by wrapping the one block point."""
+    blocks = collections.Counter()
+    real_block = sim._block
+
+    def counting_block(reason):
+        blocks[sim.current_task.name] += 1
+        return real_block(reason)
+
+    sim._block = counting_block
+    return blocks
+
+
+class TestRendezvous:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sleeps=st.lists(
+            st.floats(min_value=0.0, max_value=1e-3, allow_nan=False), min_size=1, max_size=8
+        ),
+        delay=st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e-3)),
+        fail=st.booleans(),
+    )
+    def test_release_decide_and_parks(self, sleeps, delay, fail):
+        sim = Simulator()
+        rdv = Rendezvous(sim, name="prop")
+        blocks = _count_blocks(sim)
+        decided = []
+        released = []  # (member, time, outcome, blocks inside arrive)
+
+        def decide(payloads):
+            decided.append(dict(payloads))
+            if fail:
+                raise ValueError(f"bad payloads {sorted(payloads)}")
+            return sum(payloads.values())
+
+        def member(i):
+            sim.sleep(sleeps[i])
+            name = sim.current_task.name
+            before = blocks[name]
+            try:
+                outcome = rdv.arrive("point", i, i * 10, len(sleeps), decide, delay)
+            except ValueError as exc:
+                outcome = exc
+            released.append((i, sim.now, outcome, blocks[name] - before))
+
+        for i in range(len(sleeps)):
+            sim.spawn(member, i, name=f"m{i}")
+        sim.run()
+
+        # Released together at the old sleep-then-wait instant, bit for bit.
+        expected = max(s + delay for s in sleeps)
+        assert [t for _i, t, _o, _b in released] == [expected] * len(sleeps)
+        # decide ran once, over every payload.
+        assert decided == [{i: i * 10 for i in range(len(sleeps))}]
+        outcomes = [o for _i, _t, o, _b in released]
+        if fail:
+            msg = f"bad payloads {list(range(len(sleeps)))}"
+            assert all(type(o) is ValueError and str(o) == msg for o in outcomes)
+            assert len({id(o) for o in outcomes}) == len(outcomes)  # a copy each
+        else:
+            assert outcomes == [10 * sum(range(len(sleeps)))] * len(sleeps)
+        # The last arrival resumes first, the others follow in arrival order.
+        arrival = sorted(range(len(sleeps)), key=lambda i: (sleeps[i], i))
+        order = [i for i, _t, _o, _b in released]
+        assert order == [arrival[-1]] + arrival[:-1]
+        # One block per member: the waiters' shared future, the last
+        # arrival's sleep (only when there is a delay).
+        parks = {i: b for i, _t, _o, b in released}
+        assert parks == {i: 1 if i != arrival[-1] or delay > 0 else 0 for i in arrival}
+        assert sim.parks == sum(blocks.values())
+        assert not rdv._points
+
+    def test_without_decide_returns_payloads(self):
+        sim = Simulator()
+        rdv = Rendezvous(sim)
+        got = []
+        for i in range(3):
+            sim.spawn(lambda i=i: got.append(rdv.arrive(("k", 0), i, -i, 3)))
+        sim.run()
+        assert got == [{0: 0, 1: -1, 2: -2}] * 3
+
+    def test_points_are_independent(self):
+        sim = Simulator()
+        rdv = Rendezvous(sim)
+        log = []
+
+        def member(i):
+            for seq in range(3):
+                sim.sleep(0.1 * (i + 1))
+                rdv.arrive(seq, i, None, 2, delay=1.0)
+                log.append((seq, i, sim.now))
+
+        sim.spawn(member, 0)
+        sim.spawn(member, 1)
+        sim.run()
+        assert [(seq, t) for seq, _i, t in log] == [
+            (0, 1.2), (0, 1.2), (1, 2.4), (1, 2.4), (2, 3.6), (2, 3.6)
+        ]
+
+    def test_member_arriving_twice_raises(self):
+        sim = Simulator()
+        rdv = Rendezvous(sim, name="dup")
+        caught = []
+
+        def first():
+            rdv.arrive("p", 0, "a", 2)
+
+        def second():
+            try:
+                rdv.arrive("p", 0, "b", 2)
+            except SimulationError as exc:
+                caught.append(str(exc))
+            rdv.arrive("p", 1, "c", 2)
+
+        sim.spawn(first)
+        sim.spawn(second)
+        sim.run()
+        assert caught == ["0 arrived twice at dup 'p'"]
+        assert not rdv._points

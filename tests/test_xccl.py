@@ -98,6 +98,21 @@ class TestInit:
         assert max(times) - min(times) < 1e-9
         assert min(times) >= 3e-3 + NCCL_PARAMS.init_overhead
 
+    def test_init_releases_at_last_join_plus_overhead(self):
+        w, ctx = make_ctx(nodes=2)
+        uid = UniqueId.create()
+        stagger = (2.5e-6, 0.0, 7.1e-4, 3.3e-5, 1.9e-5, 7.1e-4, 6.0e-7, 1.2e-4)
+        joins, releases = [], []
+
+        def prog(rc):
+            rc.sim.sleep(stagger[rc.rank])
+            joins.append(rc.sim.now)
+            XcclComm.init_rank(ctx, uid, rc.rank, w.nranks, rc.device)
+            releases.append(rc.sim.now)
+
+        run_spmd(w, prog)
+        assert set(releases) == {max(joins) + NCCL_PARAMS.init_overhead}
+
     def test_double_join_rejected(self):
         w, ctx = make_ctx(nodes=1)
         uid = UniqueId.create()
