@@ -13,6 +13,7 @@ depends on.  :class:`GlobalBuffer` is the user-visible handle.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from repro.cluster.memref import MemRef
@@ -69,12 +70,15 @@ class GlobalSegment:
             else None
         )
 
+    @functools.cached_property
+    def _occ_by(self):
+        """The gauge's series table, bound on first write."""
+        return self._g_occ.bind("rank", "region") if self._g_occ is not None else None
+
     def track_occupancy(self, region: str, allocator) -> None:
         """Set this rank's occupancy gauge for ``region``."""
         if self._g_occ is not None:
-            self._g_occ.set(
-                allocator.allocated_bytes, rank=self.owner_rank, region=region
-            )
+            self._occ_by.set((self.owner_rank, region), allocator.allocated_bytes)
 
     def address_of(self, offset: int) -> int:
         """Device virtual address of a segment offset."""

@@ -22,6 +22,7 @@ libraries.  Responsibilities reproduced from the paper:
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -65,15 +66,24 @@ class Ompccl:
             "ompccl.algo", "collective launches by selected XCCL algorithm"
         )
 
+    # -- per-launch series tables (bound on first write) --------------------------
+
+    @functools.cached_property
+    def _colls_by(self):
+        return self._m_colls.bind("kind", "library", "group_size", "rank")
+
+    @functools.cached_property
+    def _bytes_by(self):
+        return self._m_bytes.bind("kind", "rank")
+
+    @functools.cached_property
+    def _algo_by(self):
+        return self._m_algo.bind("kind", "algo", "library", "group", "rank")
+
     def _record(self, kind: str, group: DiompGroup, ctx: RankContext, buffers: Sequence[MemRef]) -> None:
         nbytes = sum(b.nbytes for b in buffers)
-        self._m_colls.inc(
-            kind=kind,
-            library=self.xccl.params.name,
-            group_size=group.size,
-            rank=ctx.rank,
-        )
-        self._m_bytes.inc(nbytes, kind=kind, rank=ctx.rank)
+        self._colls_by.inc((kind, self.xccl.params.name, group.size, ctx.rank))
+        self._bytes_by.inc((kind, ctx.rank), nbytes)
 
     def _selected(
         self,
@@ -93,13 +103,7 @@ class Ompccl:
         here, before any member arrives.
         """
         selected = comms[0].select(xccl_op, nbytes, algo=algo).algo
-        self._m_algo.inc(
-            kind=kind,
-            algo=selected,
-            library=self.xccl.params.name,
-            group=group.group_id,
-            rank=ctx.rank,
-        )
+        self._algo_by.inc((kind, selected, self.xccl.params.name, group.group_id, ctx.rank))
         return selected
 
     def _trace_rendezvous(self, kind: str, group: DiompGroup, ctx: RankContext) -> None:

@@ -35,6 +35,7 @@ completion time.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
@@ -169,6 +170,21 @@ class DiompRma:
             "hybrid-poll iterations per ompx_fence",
             bounds=(0, 1, 2, 4, 8, 16, 32, 64, 128),
         )
+
+    # -- per-operation series tables (bound on first write, so building a
+    #    rank costs nothing extra) -----------------------------------------------
+
+    @functools.cached_property
+    def _ops_by(self):
+        return self._m_ops.bind("op", "path", "rank")
+
+    @functools.cached_property
+    def _bytes_by(self):
+        return self._m_bytes.bind("op", "path", "rank")
+
+    @functools.cached_property
+    def _fence_by(self):
+        return self._m_fence.bind("rank")
 
     # -- legacy statistics (read-through onto the metrics registry) ---------------
 
@@ -396,8 +412,8 @@ class DiompRma:
 
     def _count_op(self, op: str, path: str, nbytes: int) -> None:
         rank = self.diomp.rank
-        self._m_ops.inc(op=op, path=path, rank=rank)
-        self._m_bytes.inc(nbytes, op=op, path=path, rank=rank)
+        self._ops_by.inc((op, path, rank))
+        self._bytes_by.inc((op, path, rank), nbytes)
 
     # -- small-message aggregation -------------------------------------------------
 
@@ -614,7 +630,7 @@ class DiompRma:
             )
             error.__cause__ = first
             raise error
-        self._m_fence.observe(iterations, rank=self.diomp.rank)
+        self._fence_by.observe(self.diomp.rank, iterations)
         return iterations
 
     @property

@@ -71,26 +71,29 @@ class StreamPool:
         self.poll_iterations = 0
         # -- metrics (see repro.obs; high-water mark via the gauge) --
         self._obs = obs
+        # Series by device (one per pool), resolved on first write and
+        # keyed by the device's label string (cheap to hash).
+        self._device_label = str(device.device_id)
         if obs is not None:
             self._g_active = obs.gauge(
                 "streams.active", "live streams per device pool"
-            )
+            ).bind("device")
             self._h_partial = obs.histogram(
                 "streams.partial_sync_busy",
                 "busy streams at each partial synchronization",
                 bounds=(1, 2, 4, 8, 16, 32, 64),
-            )
+            ).bind("device")
             self._h_fence = obs.histogram(
                 "streams.fence_iterations",
                 "poll iterations per hybrid fence",
                 bounds=(0, 1, 2, 4, 8, 16, 32, 64, 128),
-            )
+            ).bind("device")
         else:
             self._g_active = self._h_partial = self._h_fence = None
 
     def _track_active(self) -> None:
         if self._g_active is not None:
-            self._g_active.set(self.active_count, device=self.device.device_id)
+            self._g_active.set(self._device_label, self.active_count)
 
     @property
     def active_count(self) -> int:
@@ -135,7 +138,7 @@ class StreamPool:
         self.created += 1
         self._track_active()
         if self.tracer is not None:
-            self.tracer.emit("streams", "create", device=str(self.device.device_id))
+            self.tracer.emit("streams", "create", device=self._device_label)
         return stream
 
     def _destroy_idle(self) -> None:
@@ -149,7 +152,7 @@ class StreamPool:
             self._track_active()
             if self.tracer is not None:
                 self.tracer.emit(
-                    "streams", "destroy", device=str(self.device.device_id)
+                    "streams", "destroy", device=self._device_label
                 )
 
     def _reclaim_idle(self) -> None:
@@ -165,7 +168,7 @@ class StreamPool:
         while the others keep executing."""
         self.partial_syncs += 1
         if self._h_partial is not None:
-            self._h_partial.observe(len(self._busy), device=self.device.device_id)
+            self._h_partial.observe(self._device_label, len(self._busy))
         if self.tracer is not None:
             self.tracer.emit("streams", "partial_sync", busy=len(self._busy))
         self._busy.sort(key=lambda s: s.available_at)
@@ -258,7 +261,7 @@ class StreamPool:
                 pending_events.remove(next_event)
         self._track_active()
         if self._h_fence is not None:
-            self._h_fence.observe(iterations, device=self.device.device_id)
+            self._h_fence.observe(self._device_label, iterations)
         if self.tracer is not None:
             self.tracer.emit("streams", "hybrid_fence", iterations=iterations)
         return iterations

@@ -10,6 +10,7 @@ GASPI's replacement for target-side events).
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.memref import MemRef
@@ -129,6 +130,16 @@ class Gpi2Client:
         )
         self._obs = obs
 
+    # Series tables by (conduit, op, size class, rank), bound on first write.
+
+    @functools.cached_property
+    def _msgs_by(self):
+        return self._m_msgs.bind("conduit", "op", "size_class", "rank")
+
+    @functools.cached_property
+    def _bytes_by(self):
+        return self._m_bytes.bind("conduit", "op", "size_class", "rank")
+
     def _trace_delivery(
         self, name: str, peer_rank: int, on_complete: Callable[[], Any]
     ) -> Callable[[], Any]:
@@ -148,10 +159,9 @@ class Gpi2Client:
         return wrapped
 
     def _count_message(self, op: str, nbytes: int) -> None:
-        cls = size_class(nbytes)
-        labels = dict(conduit="gpi2", op=op, size_class=cls, rank=self.rank)
-        self._m_msgs.inc(**labels)
-        self._m_bytes.inc(nbytes, **labels)
+        key = ("gpi2", op, size_class(nbytes), self.rank)
+        self._msgs_by.inc(key)
+        self._bytes_by.inc(key, nbytes)
 
     # -- segments (GASPI numbers them; addresses still resolve) --------------
 

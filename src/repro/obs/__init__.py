@@ -106,9 +106,9 @@ class Observability:
         self.engine = EngineProfiler(enabled=enabled)
         #: per-(kind, ident, rank) rendezvous sequence numbers
         self._rdv_seq: Dict[Any, int] = {}
-        #: (kind, ident, seq) -> {rank: TraceContext} arrival registry;
-        #: a point's entry is dropped when its last member arrives
-        self._rdv_ctxs: Dict[Any, Dict[int, TraceContext]] = {}
+        #: (kind, ident, seq) -> {rank: open span} arrival registry; a
+        #: point's entry is dropped when its last member arrives
+        self._rdv_spans: Dict[Any, Dict[int, Any]] = {}
         #: rendezvous groups up to this size cross-link all pairs
         #: (exact dependency DAG); larger groups link each arrival to
         #: its predecessor only — O(P) instead of O(P^2) links, with
@@ -139,7 +139,7 @@ class Observability:
 
     def span(self, name: str, track: Optional[str] = None, **args: Any):
         """Time a region: ``with obs.span("rma.put", rank=r): ...``"""
-        return self.profiler.span(name, track=track, **args)
+        return self.profiler._open(name, track, args)
 
     @property
     def spans(self):
@@ -176,10 +176,12 @@ class Observability:
         """
         if not self.enabled or ctx is None:
             return None
-        if self.profiler.link(ctx, track=track, **args):
-            return self.profiler.capture(track=track, **args)
-        rec = self.profiler.record(name, when, when, track=track, links=(ctx,), **args)
-        return TraceContext(self.profiler.trace_id, rec.span_id) if rec else None
+        prof = self.profiler
+        target = prof._link(ctx, prof._resolve_track(track, args))
+        if target is not None:
+            return target.context
+        rec = prof.record(name, when, when, track=track, links=(ctx,), **args)
+        return TraceContext(prof.trace_id, rec.span_id) if rec else None
 
     def rendezvous(self, kind: str, ident: Any, rank: int, members: int) -> None:
         """Cross-link this rank's open span with peers at a rendezvous.
@@ -205,25 +207,42 @@ class Observability:
         ``members`` is the group size: once that many ranks have
         arrived the point is complete, and its registry entry is
         dropped so the registry does not grow with run length.
+
+        The registry holds the open span objects themselves, so linking
+        touches the two spans only: no context is built and no peer
+        stack is searched (a peer's span that has closed since is
+        skipped; its record is already final).
         """
-        mine = self.capture(track=f"rank{rank}")
-        if mine is None:
+        if not self.profiler.enabled:
             return
+        stack = self.profiler._stacks.get(f"rank{rank}")
+        if not stack:
+            return
+        mine = stack[-1]
         seq_key = (kind, ident, rank)
         seq = self._rdv_seq.get(seq_key, 0)
         self._rdv_seq[seq_key] = seq + 1
         point = (kind, ident, seq)
-        peers = self._rdv_ctxs.setdefault(point, {})
+        peers = self._rdv_spans.get(point)
+        if peers is None:
+            peers = self._rdv_spans[point] = {}
         if len(peers) < self.rendezvous_dense_limit:
-            pairs = peers.items()
+            pairs = peers.values()
         else:
-            pairs = (next(reversed(peers.items())),)  # predecessor only
-        for peer_rank, peer_ctx in pairs:
-            self.profiler.link(peer_ctx, track=f"rank{rank}")
-            self.profiler.link_span(peer_ctx, mine, track=f"rank{peer_rank}")
+            pairs = (next(reversed(peers.values())),)  # predecessor only
+        mine_id = mine.span_id
+        links = mine.links
+        for peer in pairs:
+            peer_id = peer.span_id
+            if peer_id == mine_id:
+                continue
+            if peer_id not in links:
+                links.append(peer_id)
+            if peer.stack is not None and mine_id not in peer.links:
+                peer.links.append(mine_id)
         peers[rank] = mine
         if len(peers) >= members:
-            del self._rdv_ctxs[point]
+            del self._rdv_spans[point]
 
     # -- retention and rollups -------------------------------------------------
 

@@ -12,13 +12,22 @@ unconditionally and pays (almost) nothing.
 
 All label values are stringified on write, so ``rank=3`` and
 ``rank="3"`` address the same series.
+
+Hot-path contract: a family turns a label set into its sorted,
+stringified :data:`LabelKey` once.  ``inc``/``set``/``observe`` look
+the label set up in one per-family table keyed by the label items and
+their value types (so ``rank=True`` never lands on ``rank=1``'s series)
+and write to the series the key names.  A hot call site may skip even
+that lookup: a :meth:`Metric.bind` table keeps the resolved series of
+each label-value tuple the site writes, resolving it on its first
+write.  Both paths end in the family's one write method.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import warnings
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.util.errors import ConfigurationError, PercentileError
 
@@ -45,8 +54,16 @@ def size_class(nbytes: int) -> str:
     return ">=4MiB"
 
 
-def _label_key(labels: Dict[str, Any]) -> LabelKey:
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
+def _label_key(items: Iterable[Tuple[str, Any]], pairs: Dict[Any, Any]) -> LabelKey:
+    """The :data:`LabelKey` of ``(name, value)`` items given in name
+    order.  ``pairs`` interns the stringified pairs: a registry passes
+    its own, so its series share one tuple per distinct pair (fewer
+    long-lived objects for the cyclic garbage collector to trace)."""
+    key = []
+    for name, value in items:
+        pair = (name, str(value))
+        key.append(pairs.setdefault(pair, pair))
+    return tuple(key)
 
 
 def _matches(key: LabelKey, query: LabelKey) -> bool:
@@ -129,10 +146,90 @@ class HistogramStats:
         return self.maximum  # pragma: no cover - target beyond all buckets
 
 
+class SeriesTable(dict):
+    """A family's resolved series keyed by the values of some labels.
+
+    Maps the tuple of values of the labels ``names`` (a bare value when
+    one name is bound) to the series' storage slot, resolved on the
+    first write of that tuple; ``inc``/``set``/``observe`` then cost one
+    dict lookup before the family's write.  ``None`` marks a label set
+    dropped by the cardinality cap: its writes are counted in
+    ``dropped_series``.  The raw labels are rebuilt from the values only
+    when write hooks are subscribed.  Values are compared as dict keys,
+    so a call site passes each label with one type (``True`` and ``1``
+    would share an entry; the keyword path keeps them apart).
+    """
+
+    __slots__ = ("metric", "names", "_order")
+
+    def __init__(self, metric: "Metric", names: Tuple[str, ...]) -> None:
+        super().__init__()
+        self.metric = metric
+        self.names = names
+        #: (name, position) pairs in name order: the series key's order
+        self._order = sorted(zip(names, range(len(names))))
+
+    def _labels(self, values: Any) -> Dict[str, Any]:
+        """The raw labels one value tuple stands for."""
+        if len(self.names) == 1:
+            return {self.names[0]: values}
+        return dict(zip(self.names, values))
+
+    def __missing__(self, values: Any) -> Optional[int]:
+        row = (values,) if len(self.names) == 1 else values
+        metric = self.metric
+        key = _label_key([(name, row[i]) for name, i in self._order], metric._pairs)
+        slot = self[values] = metric._admit(key)
+        return slot
+
+
+class CounterTable(SeriesTable):
+    """A :class:`SeriesTable` of a :class:`Counter`."""
+
+    __slots__ = ()
+
+    def inc(self, values: Any, amount: float = 1) -> None:
+        metric = self.metric
+        registry = metric.registry
+        if registry.enabled:
+            if amount < 0:
+                metric._check(amount)  # type: ignore[attr-defined]
+            metric._write(self[values], amount, registry._hooks and self._labels(values))
+
+
+class GaugeTable(SeriesTable):
+    """A :class:`SeriesTable` of a :class:`Gauge`."""
+
+    __slots__ = ()
+
+    def set(self, values: Any, value: float) -> None:
+        registry = self.metric.registry
+        if registry.enabled:
+            self.metric._write(self[values], value, registry._hooks and self._labels(values))
+
+
+class HistogramTable(SeriesTable):
+    """A :class:`SeriesTable` of a :class:`Histogram`."""
+
+    __slots__ = ()
+
+    def observe(self, values: Any, value: float) -> None:
+        registry = self.metric.registry
+        if registry.enabled:
+            self.metric._write(self[values], value, registry._hooks and self._labels(values))
+
+
 class Metric:
-    """Base class: one named family of labeled series."""
+    """Base class: one named family of labeled series.
+
+    Series values live in per-family lists indexed by a *slot* number;
+    ``_series`` maps each stringified :data:`LabelKey` to its slot, so a
+    resolved write indexes a list instead of hashing the key again.
+    """
 
     kind = "metric"
+    #: the :class:`SeriesTable` subclass :meth:`bind` returns
+    table_type = SeriesTable
 
     def __init__(self, registry: "MetricsRegistry", name: str, help: str = "") -> None:
         self.registry = registry
@@ -140,24 +237,55 @@ class Metric:
         self.help = help
         #: True once this family hit the label-cardinality cap
         self.overflowed = False
+        #: every series' storage slot, by its stringified label key
+        self._series: Dict[LabelKey, int] = {}
+        #: resolution table: (label items..., their value types...) ->
+        #: slot, so each label set is sorted and stringified once
+        self._resolved: Dict[Tuple[Any, ...], int] = {}
+        self._pairs = registry._pairs
+        #: :meth:`bind` tables by label names
+        self._tables: Dict[Tuple[str, ...], SeriesTable] = {}
 
     @property
     def enabled(self) -> bool:
         return self.registry.enabled
 
-    def _admit(self, series: Dict[LabelKey, Any], key: LabelKey) -> bool:
-        """Label-cardinality guard: may ``key`` become a new series?
+    def _resolve(self, labels: Dict[str, Any]) -> Optional[int]:
+        """The slot of the series ``labels`` address (None: dropped by
+        the cardinality cap)."""
+        ident = (*labels.items(), *map(type, labels.values()))
+        try:
+            return self._resolved[ident]
+        except KeyError:
+            pass
+        except TypeError:  # an unhashable label value: resolve uncached
+            return self._admit(_label_key(sorted(labels.items()), self._pairs))
+        slot = self._admit(_label_key(sorted(labels.items()), self._pairs))
+        if slot is not None:
+            self._resolved[ident] = slot
+        return slot
+
+    def _admit(self, key: LabelKey) -> Optional[int]:
+        """Label-cardinality guard: the slot of series ``key``, created
+        if new.
 
         Existing series always pass.  A new series passes while the
         family is below the registry's ``max_series_per_metric`` cap;
-        beyond it the write is dropped (and counted) with a one-time
-        warning, so one buggy instrumentation site — say a label
-        carrying a message address — cannot grow snapshots unboundedly.
+        beyond it the key is refused (None; the write is then dropped
+        and counted) with a one-time warning, so one buggy
+        instrumentation site — say a label carrying a message address —
+        cannot grow snapshots unboundedly.
         """
-        if key in series:
-            return True
-        if len(series) < self.registry.max_series_per_metric:
-            return True
+        series = self._series
+        count = len(series)
+        if count < self.registry.max_series_per_metric:
+            slot = series.setdefault(key, count)
+            if slot == count:
+                self._grow()
+            return slot
+        slot = series.get(key)
+        if slot is not None:
+            return slot
         if not self.overflowed:
             self.overflowed = True
             warnings.warn(
@@ -167,15 +295,42 @@ class Metric:
                 RuntimeWarning,
                 stacklevel=4,
             )
+        return None
+
+    def _grow(self) -> None:
+        """Append the storage of one new series."""
+        raise NotImplementedError
+
+    def _write(self, slot: Optional[int], value: float, labels: Any) -> None:
+        """The one write path of each kind: fold ``value`` into series
+        ``slot`` (None: count a dropped write) and notify the write
+        hooks with the caller's raw ``labels`` (only read when hooks are
+        subscribed)."""
+        raise NotImplementedError
+
+    def _drop(self) -> None:
         self.registry.dropped_series += 1
-        return False
+
+    def _matching(self, labels: Dict[str, Any]) -> List[int]:
+        """Slots of every series whose labels include the given subset."""
+        query = _label_key(sorted(labels.items()), {})
+        return [slot for key, slot in self._series.items() if _matches(key, query)]
+
+    def bind(self, *names: str) -> SeriesTable:
+        """The :class:`SeriesTable` of this family's series keyed by the
+        values of the labels ``names`` (in that order); one per family
+        and ``names``, shared by every call site that binds them."""
+        table = self._tables.get(names)
+        if table is None:
+            table = self._tables[names] = self.table_type(self, names)
+        return table
 
     def label_keys(self) -> List[LabelKey]:
-        raise NotImplementedError
+        return sorted(self._series)
 
     def series_count(self) -> int:
         """How many labeled series this family currently holds."""
-        return len(self.label_keys())
+        return len(self._series)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name}>"
@@ -185,34 +340,42 @@ class Counter(Metric):
     """A monotonically increasing labeled counter."""
 
     kind = "counter"
+    table_type = CounterTable
 
     def __init__(self, registry: "MetricsRegistry", name: str, help: str = "") -> None:
         super().__init__(registry, name, help)
-        self._series: Dict[LabelKey, float] = {}
+        self._values: List[float] = []
 
     def inc(self, amount: float = 1, **labels: Any) -> None:
         if not self.registry.enabled:
             return
+        self._check(amount)
+        self._write(self._resolve(labels), amount, labels)
+
+    def _check(self, amount: float) -> None:
         if amount < 0:
             raise ConfigurationError(f"counter {self.name}: negative increment")
-        key = _label_key(labels)
-        if not self._admit(self._series, key):
-            return
-        self._series[key] = self._series.get(key, 0.0) + amount
+
+    def _grow(self) -> None:
+        self._values.append(0.0)
+
+    def _write(self, slot: Optional[int], amount: float, labels: Any) -> None:
+        if slot is None:
+            return self._drop()
+        self._values[slot] += amount
         if self.registry._hooks:
             self.registry._notify(self, float(amount), labels)
 
     def value(self, **labels: Any) -> float:
         """Sum over every series matching the given label subset."""
-        query = _label_key(labels)
-        return sum(v for k, v in self._series.items() if _matches(k, query))
-
-    def label_keys(self) -> List[LabelKey]:
-        return sorted(self._series)
+        values = self._values
+        return sum(values[slot] for slot in self._matching(labels))
 
     def snapshot(self) -> List[Dict[str, Any]]:
+        values = self._values
         return [
-            {"labels": dict(k), "value": v} for k, v in sorted(self._series.items())
+            {"labels": dict(k), "value": values[slot]}
+            for k, slot in sorted(self._series.items())
         ]
 
 
@@ -220,49 +383,54 @@ class Gauge(Metric):
     """A labeled point-in-time value that also tracks its high-water mark."""
 
     kind = "gauge"
+    table_type = GaugeTable
 
     def __init__(self, registry: "MetricsRegistry", name: str, help: str = "") -> None:
         super().__init__(registry, name, help)
-        self._series: Dict[LabelKey, float] = {}
-        self._high: Dict[LabelKey, float] = {}
+        self._values: List[float] = []
+        self._high: List[float] = []
 
     def set(self, value: float, **labels: Any) -> None:
         if not self.registry.enabled:
             return
-        key = _label_key(labels)
-        if not self._admit(self._series, key):
-            return
-        self._series[key] = value
-        if value > self._high.get(key, float("-inf")):
-            self._high[key] = value
-        if self.registry._hooks:
-            self.registry._notify(self, float(value), labels)
+        self._write(self._resolve(labels), value, labels)
 
     def add(self, delta: float, **labels: Any) -> None:
         if not self.registry.enabled:
             return
-        key = _label_key(labels)
-        self.set(self._series.get(key, 0.0) + delta, **labels)
+        slot = self._resolve(labels)
+        current = self._values[slot] if slot is not None else 0.0
+        self._write(slot, current + delta, labels)
+
+    def _grow(self) -> None:
+        self._values.append(0.0)
+        self._high.append(float("-inf"))
+
+    def _write(self, slot: Optional[int], value: float, labels: Any) -> None:
+        if slot is None:
+            return self._drop()
+        self._values[slot] = value
+        if value > self._high[slot]:
+            self._high[slot] = value
+        if self.registry._hooks:
+            self.registry._notify(self, float(value), labels)
 
     def value(self, **labels: Any) -> float:
         """Sum of current values over matching series (e.g. cluster
         occupancy = sum of per-rank occupancies)."""
-        query = _label_key(labels)
-        return sum(v for k, v in self._series.items() if _matches(k, query))
+        values = self._values
+        return sum(values[slot] for slot in self._matching(labels))
 
     def high_water(self, **labels: Any) -> float:
         """Max high-water mark over matching series (0.0 when unseen)."""
-        query = _label_key(labels)
-        marks = [v for k, v in self._high.items() if _matches(k, query)]
+        marks = [self._high[slot] for slot in self._matching(labels)]
         return max(marks) if marks else 0.0
 
-    def label_keys(self) -> List[LabelKey]:
-        return sorted(self._series)
-
     def snapshot(self) -> List[Dict[str, Any]]:
+        values, high = self._values, self._high
         return [
-            {"labels": dict(k), "value": v, "high_water": self._high[k]}
-            for k, v in sorted(self._series.items())
+            {"labels": dict(k), "value": values[slot], "high_water": high[slot]}
+            for k, slot in sorted(self._series.items())
         ]
 
 
@@ -270,6 +438,7 @@ class Histogram(Metric):
     """A labeled distribution with fixed bucket bounds."""
 
     kind = "histogram"
+    table_type = HistogramTable
 
     def __init__(
         self,
@@ -282,28 +451,28 @@ class Histogram(Metric):
         self.bounds: Tuple[float, ...] = tuple(bounds) if bounds else DEFAULT_BOUNDS
         if list(self.bounds) != sorted(self.bounds):
             raise ConfigurationError(f"histogram {name}: bounds must be sorted")
-        self._series: Dict[LabelKey, HistogramStats] = {}
+        self._stats: List[HistogramStats] = []
 
     def observe(self, value: float, **labels: Any) -> None:
         if not self.registry.enabled:
             return
-        key = _label_key(labels)
-        stats = self._series.get(key)
-        if stats is None:
-            if not self._admit(self._series, key):
-                return
-            stats = self._series[key] = HistogramStats()
-        stats.observe(value, self.bounds)
+        self._write(self._resolve(labels), value, labels)
+
+    def _grow(self) -> None:
+        self._stats.append(HistogramStats())
+
+    def _write(self, slot: Optional[int], value: float, labels: Any) -> None:
+        if slot is None:
+            return self._drop()
+        self._stats[slot].observe(value, self.bounds)
         if self.registry._hooks:
             self.registry._notify(self, float(value), labels)
 
     def stats(self, **labels: Any) -> HistogramStats:
         """Aggregate stats over every series matching the label subset."""
-        query = _label_key(labels)
         merged = HistogramStats()
-        for key, s in self._series.items():
-            if not _matches(key, query):
-                continue
+        for slot in self._matching(labels):
+            s = self._stats[slot]
             if not merged.buckets:
                 merged.buckets = [0] * len(s.buckets)
             merged.count += s.count
@@ -316,12 +485,10 @@ class Histogram(Metric):
     def count(self, **labels: Any) -> int:
         return self.stats(**labels).count
 
-    def label_keys(self) -> List[LabelKey]:
-        return sorted(self._series)
-
     def snapshot(self) -> List[Dict[str, Any]]:
         out = []
-        for key, s in sorted(self._series.items()):
+        for key, slot in sorted(self._series.items()):
+            s = self._stats[slot]
             out.append(
                 {
                     "labels": dict(key),
@@ -352,6 +519,8 @@ class MetricsRegistry:
         self.max_series_per_metric = max_series_per_metric
         #: total writes dropped by the cardinality guard (all families)
         self.dropped_series = 0
+        #: interned (name, value) label pairs shared by every series key
+        self._pairs: Dict[Any, Any] = {}
         self._metrics: Dict[str, Metric] = {}
         #: write hooks: ``fn(metric, value, labels)`` called on every
         #: admitted counter inc / gauge set / histogram observe.  This

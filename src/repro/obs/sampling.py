@@ -14,9 +14,11 @@ with a drop-in sequence that enforces a **hard memory budget**:
   track is a fixed-size uniform reservoir (Algorithm R with a seeded
   RNG, so sampling is deterministic).  The total never exceeds the
   budget again — if a new track appears after saturation, room is made
-  by shrinking the largest reservoir.  The reservoirs are indexed by
-  size in a lazy heap, so finding that victim costs O(log tracks), not
-  a scan of every track.
+  by shrinking the largest reservoir.  The tracks are indexed by
+  reservoir size in one bit set per size (a bit per track), so finding
+  that victim is the lowest set bit of the fullest nonempty size: a
+  handful of integer operations per admission, not a scan of every
+  track.
 * Optionally every completed span is **spilled** to a JSONL file as it
   closes (``spill_path``), so full fidelity lives on disk while RAM
   holds the bounded sample.
@@ -29,8 +31,7 @@ expressed in bytes, which is what operators actually configure.
 from __future__ import annotations
 
 import dataclasses
-import heapq
-import itertools
+import functools
 import json
 import random
 from typing import Any, Dict, Iterator, List, Optional
@@ -74,7 +75,7 @@ class SpanBudget:
                 "per_track_head must be >= 0 and per_track_reservoir >= 1"
             )
 
-    @property
+    @functools.cached_property
     def max_spans(self) -> int:
         """The budget expressed as a kept-span cap."""
         return max(1, self.max_bytes // SPAN_COST_BYTES)
@@ -98,17 +99,16 @@ class SpanStoreStats:
 class _TrackSample:
     """Head + reservoir sample of one track (sampling mode only)."""
 
-    __slots__ = ("head", "reservoir", "tail_seen", "order", "entry")
+    __slots__ = ("head", "reservoir", "tail_seen", "order")
 
     def __init__(self, order: int) -> None:
         self.head: List[SpanRecord] = []
         self.reservoir: List[SpanRecord] = []
         #: tail (non-head) spans observed so far, kept or not
         self.tail_seen = 0
-        #: insertion rank of the track: breaks eviction ties
+        #: insertion rank of the track: breaks eviction ties, and is the
+        #: track's bit in the store's size index
         self.order = order
-        #: this sample's live entry in the store's eviction heap
-        self.entry: Optional[tuple] = None
 
     def __len__(self) -> int:
         return len(self.head) + len(self.reservoir)
@@ -126,14 +126,15 @@ class SpanStore:
         self.budget = budget or SpanBudget()
         #: lossless mode storage (append order)
         self._all: List[SpanRecord] = []
-        #: sampling mode storage, keyed by track
+        #: sampling mode storage, keyed by track, and by insertion order
         self._tracks: Dict[str, _TrackSample] = {}
-        #: eviction index: ``(-len(reservoir), order, stamp, sample)``
-        #: entries, largest reservoir first and first-inserted track on
-        #: ties.  Lazy: an entry is live only while it is its sample's
-        #: ``entry``; every reservoir resize pushes a fresh one.
-        self._heap: List[tuple] = []
-        self._stamps = itertools.count()
+        self._ordered: List[_TrackSample] = []
+        #: eviction index: bit ``order`` of ``_by_size[n]`` is set while
+        #: that track's reservoir holds ``n`` spans (n >= 1); the victim
+        #: is the lowest set bit of the largest nonempty size
+        self._by_size: List[int] = []
+        #: no size above this has a bit set
+        self._top = 0
         self._sampling = False
         self._kept = 0
         self.recorded = 0
@@ -176,7 +177,9 @@ class SpanStore:
         """Drop every kept span and reset the retention counters."""
         self._all.clear()
         self._tracks.clear()
-        self._heap = []
+        self._ordered = []
+        self._by_size = []
+        self._top = 0
         self._sampling = False
         self._kept = 0
         self.recorded = 0
@@ -228,12 +231,11 @@ class SpanStore:
     def _enter_sampling(self) -> None:
         """Downsample the lossless list into per-track head+reservoir."""
         self._sampling = True
+        self._by_size = [0] * (self.budget.per_track_reservoir + 1)
         head_n = self.budget.per_track_head
         res_n = self.budget.per_track_reservoir
         for rec in self._all:
-            sample = self._tracks.get(rec.track)
-            if sample is None:
-                sample = self._tracks[rec.track] = _TrackSample(len(self._tracks))
+            sample = self._sample(rec.track)
             if len(sample.head) < head_n:
                 sample.head.append(rec)
             else:
@@ -247,41 +249,46 @@ class SpanStore:
         self._all = []
         self._kept = sum(len(s) for s in self._tracks.values())
         for sample in self._tracks.values():
-            self._index(sample)
+            size = len(sample.reservoir)
+            if size:
+                self._by_size[size] |= 1 << sample.order
+                self._top = max(self._top, size)
         self._shrink_to_budget()
+
+    def _sample(self, track: str) -> _TrackSample:
+        sample = self._tracks.get(track)
+        if sample is None:
+            sample = self._tracks[track] = _TrackSample(len(self._ordered))
+            self._ordered.append(sample)
+        return sample
 
     def _admit(self, rec: SpanRecord) -> None:
         sample = self._tracks.get(rec.track)
         if sample is None:
-            sample = self._tracks[rec.track] = _TrackSample(len(self._tracks))
+            sample = self._sample(rec.track)
         if len(sample.head) < self.budget.per_track_head:
             if self._make_room(exempt=sample):
                 sample.head.append(rec)
                 self._kept += 1
             return
         sample.tail_seen += 1
-        if len(sample.reservoir) < self.budget.per_track_reservoir:
+        size = len(sample.reservoir)
+        if size < self.budget.per_track_reservoir:
             if self._make_room(exempt=sample):
                 sample.reservoir.append(rec)
                 self._kept += 1
-                self._index(sample)
+                # Move the track up one size in the eviction index.
+                bit = 1 << sample.order
+                if size:
+                    self._by_size[size] ^= bit
+                self._by_size[size + 1] |= bit
+                if size >= self._top:
+                    self._top = size + 1
             return
         # Algorithm R replacement: uniform over the track's tail.
         j = self._rng.randrange(sample.tail_seen)
-        if j < len(sample.reservoir):
+        if j < size:
             sample.reservoir[j] = rec
-
-    def _index(self, sample: _TrackSample) -> None:
-        """(Re-)enter ``sample`` in the eviction heap at its new size."""
-        if not sample.reservoir:
-            sample.entry = None
-            return
-        if len(self._heap) > 2 * len(self._tracks) + 64:
-            # Stale entries outnumber live ones: rebuild from the live.
-            self._heap = [s.entry for s in self._tracks.values() if s.entry is not None]
-            heapq.heapify(self._heap)
-        sample.entry = (-len(sample.reservoir), sample.order, next(self._stamps), sample)
-        heapq.heappush(self._heap, sample.entry)
 
     def _make_room(self, exempt: Optional[_TrackSample] = None) -> bool:
         """Ensure one admission slot exists under ``max_spans``.
@@ -293,25 +300,30 @@ class SpanStore:
         """
         if self._kept < self.budget.max_spans:
             return True
-        heap = self._heap
-        held = victim = None
-        while heap:
-            entry = heap[0]
-            sample = entry[3]
-            if sample.entry is not entry:
-                heapq.heappop(heap)  # stale: that reservoir was resized since
-            elif sample is exempt:
-                held = heapq.heappop(heap)  # look past it, restore below
-            else:
-                victim = sample
+        by_size = self._by_size
+        skip = exempt.order if exempt is not None else -1
+        size = self._top
+        while size and not by_size[size]:
+            size -= 1  # emptied since: lower the ceiling for good
+        self._top = size
+        while size:
+            members = by_size[size]
+            low = members & -members  # first track in insertion order
+            if low.bit_length() - 1 == skip:
+                members ^= low
+                low = members & -members
+            if members:
                 break
-        if held is not None:
-            heapq.heappush(heap, held)
-        if victim is None:
+            size -= 1
+        else:
             return False
-        victim.reservoir.pop(self._rng.randrange(len(victim.reservoir)))
+        victim = self._ordered[low.bit_length() - 1]
+        victim.reservoir.pop(self._rng.randrange(size))
         self._kept -= 1
-        self._index(victim)
+        # Move the victim down one size in the eviction index.
+        by_size[size] ^= low
+        if size > 1:
+            by_size[size - 1] |= low
         return True
 
     def _shrink_to_budget(self) -> None:

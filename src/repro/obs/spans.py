@@ -28,22 +28,19 @@ cross-rank DAG edges.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 
-@dataclasses.dataclass(frozen=True)
-class TraceContext:
+class TraceContext(NamedTuple):
     """A reference to one span, small enough to ride every message."""
 
     trace_id: str
     span_id: int
 
 
-@dataclasses.dataclass(frozen=True)
-class SpanRecord:
-    """One completed span on the virtual timeline."""
+class SpanRecord(NamedTuple):
+    """One completed span on the virtual timeline (an immutable tuple)."""
 
     name: str
     track: str
@@ -103,6 +100,11 @@ class SpanRecord:
         )
 
 
+#: builds a record from its field tuple without the keyword-argument
+#: parsing of ``SpanRecord(...)`` (the hot path of every closing span)
+_new_record = tuple.__new__
+
+
 class _NullSpan:
     """Shared no-op context manager for the disabled profiler."""
 
@@ -119,7 +121,12 @@ _NULL_SPAN = _NullSpan()
 
 
 class _ActiveSpan:
-    """Context manager recording one span into the profiler."""
+    """Context manager recording one span into the profiler.
+
+    While open it sits on its track's stack and keeps a reference to
+    that stack (``stack`` is None before entry and after exit), so a
+    holder of the span — a rendezvous peer — can link into it directly.
+    """
 
     __slots__ = (
         "profiler",
@@ -131,6 +138,7 @@ class _ActiveSpan:
         "span_id",
         "parent_id",
         "links",
+        "stack",
     )
 
     def __init__(self, profiler: "SpanProfiler", name: str, track: str, args: Dict[str, Any]) -> None:
@@ -139,20 +147,25 @@ class _ActiveSpan:
         self.track = track
         self.args = args
         self.links: List[int] = []
+        self.stack: Optional[List[_ActiveSpan]] = None
 
     def __enter__(self) -> "_ActiveSpan":
         prof = self.profiler
-        stack = prof._stack(self.track)
+        stack = prof._stacks.get(self.track)
+        if stack is None:
+            stack = prof._stacks[self.track] = []
+        self.stack = stack
         self.depth = len(stack)
         self.parent_id = stack[-1].span_id if stack else None
-        self.span_id = prof._next_id()
+        self.span_id = next(prof._ids)
         self.start = prof._clock()
         stack.append(self)
         return self
 
     def __exit__(self, *exc: Any) -> bool:
         prof = self.profiler
-        stack = prof._stack(self.track)
+        stack = self.stack
+        self.stack = None
         # Remove *this* span, not blindly the top: concurrent tasks on
         # one rank (e.g. multi-device OMPCCL slot tasks) may interleave
         # enter/exit order on a shared track.
@@ -164,19 +177,27 @@ class _ActiveSpan:
             except ValueError:
                 pass
         prof.records.append(
-            SpanRecord(
-                name=self.name,
-                track=self.track,
-                start=self.start,
-                end=prof._clock(),
-                depth=self.depth,
-                args=self.args,
-                span_id=self.span_id,
-                parent_id=self.parent_id,
-                links=tuple(self.links),
+            _new_record(
+                SpanRecord,
+                (
+                    self.name,
+                    self.track,
+                    self.start,
+                    prof._clock(),
+                    self.depth,
+                    self.args,
+                    self.span_id,
+                    self.parent_id,
+                    tuple(self.links),
+                ),
             )
         )
         return False
+
+    def add_link(self, span_id: int) -> None:
+        """Record a causal predecessor (self-links and repeats dropped)."""
+        if span_id != self.span_id and span_id not in self.links:
+            self.links.append(span_id)
 
     @property
     def context(self) -> TraceContext:
@@ -219,12 +240,6 @@ class SpanProfiler:
     def _next_id(self) -> int:
         return next(self._ids)
 
-    def _stack(self, track: str) -> List[_ActiveSpan]:
-        stack = self._stacks.get(track)
-        if stack is None:
-            stack = self._stacks[track] = []
-        return stack
-
     @staticmethod
     def _resolve_track(track: Optional[str], args: Dict[str, Any]) -> str:
         if track is not None:
@@ -237,6 +252,11 @@ class SpanProfiler:
         ``track`` names the Chrome-trace timeline; when omitted, a
         ``rank`` argument selects ``rank<r>``, else ``main``.
         """
+        return self._open(name, track, args)
+
+    def _open(self, name: str, track: Optional[str], args: Dict[str, Any]):
+        """:meth:`span` with its arguments as one dict (callers that
+        already hold them skip re-packing the keywords)."""
         if not self.enabled:
             return _NULL_SPAN
         return _ActiveSpan(self, name, self._resolve_track(track, args), args)
@@ -265,15 +285,19 @@ class SpanProfiler:
         otherwise (caller may then :meth:`record` a standalone delivery
         span instead).  Self-links are dropped.
         """
+        return self._link(ctx, self._resolve_track(track, args)) is not None
+
+    def _link(self, ctx: Optional[TraceContext], track: str) -> Optional[_ActiveSpan]:
+        """:meth:`link` on a resolved track; returns the span that took
+        the link (None when none could)."""
         if not self.enabled or ctx is None or ctx.trace_id != self.trace_id:
-            return False
-        stack = self._stacks.get(self._resolve_track(track, args))
+            return None
+        stack = self._stacks.get(track)
         if not stack:
-            return False
+            return None
         target = stack[-1]
-        if target.span_id != ctx.span_id and ctx.span_id not in target.links:
-            target.links.append(ctx.span_id)
-        return True
+        target.add_link(ctx.span_id)
+        return target
 
     def link_span(
         self,
@@ -305,8 +329,7 @@ class SpanProfiler:
         stack = self._stacks.get(self._resolve_track(track, args))
         for open_span in stack or ():
             if open_span.span_id == target.span_id:
-                if link.span_id not in open_span.links:
-                    open_span.links.append(link.span_id)
+                open_span.add_link(link.span_id)
                 return True
         return False
 

@@ -25,6 +25,7 @@ stream-synchronized NCCL call.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -101,6 +102,11 @@ class XcclContext:
         self._m_algo = obs.counter(
             "xccl.algo", "completed collectives by selected algorithm"
         )
+
+    @functools.cached_property
+    def _launches_by(self):
+        """Launch-counter series table, bound on first write."""
+        return self._m_launches.bind("op", "library", "ndev")
 
     def _state(self, uid: UniqueId, ndev: int) -> _CommState:
         state = self._comms.get(uid)
@@ -252,7 +258,7 @@ class XcclComm:
             raise CommunicationError(f"device rank {self.dev_rank} arrived twice")
         pending.arrivals[self.dev_rank] = arrival
         fut = pending.done
-        self.ctx._m_launches.inc(op=op, library=self.ctx.params.name, ndev=state.ndev)
+        self.ctx._launches_by.inc((op, self.ctx.params.name, state.ndev))
         if len(pending.arrivals) == state.ndev:
             del state.pending[seq]
             sel = self.select(op, nbytes, algo=algo)

@@ -166,10 +166,10 @@ class TestRendezvous:
         obs = make_obs([float(i) for i in range(4)])
         with obs.span("barrier", rank=0):
             obs.rendezvous("barrier", "g0", 0, 2)
-            assert len(obs._rdv_ctxs) == 1
+            assert len(obs._rdv_spans) == 1
             with obs.span("barrier", rank=1):
                 obs.rendezvous("barrier", "g0", 1, 2)
-        assert obs._rdv_ctxs == {}
+        assert obs._rdv_spans == {}
 
     @staticmethod
     def collective_run(k=3):
@@ -193,7 +193,7 @@ class TestRendezvous:
 
     def test_registry_empty_after_run_with_unchanged_links(self, monkeypatch):
         pruned = self.collective_run()
-        assert pruned._rdv_ctxs == {}
+        assert pruned._rdv_spans == {}
 
         keep = Observability.rendezvous
         monkeypatch.setattr(
@@ -202,7 +202,7 @@ class TestRendezvous:
             lambda self, kind, ident, rank, members: keep(self, kind, ident, rank, 1 << 30),
         )
         unpruned = self.collective_run()
-        assert len(unpruned._rdv_ctxs) >= 4 * 3
+        assert len(unpruned._rdv_spans) >= 4 * 3
 
         def links(obs):
             return [(s.span_id, s.track, s.name, s.links) for s in obs.spans]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import MemRef, World, run_spmd
+from repro.cluster.spmd import SpmdConfig
 from repro.core import DiompParams, DiompRuntime
 from repro.hardware import platform_a
 from repro.obs import Observability, size_class
@@ -430,3 +431,130 @@ class TestRegistryHealth:
         assert snap["health"]["dropped_series"] == 3
         assert snap["counters"]["a"]["series_count"] == 2
         assert snap["counters"]["a"]["overflowed"]
+
+
+class TestLabelResolution:
+    """Each label set resolves to its series key once; the resolution
+    table must not merge label values that stringify differently."""
+
+    def test_int_and_str_rank_write_one_series(self):
+        c = MetricsRegistry().counter("c")
+        for _ in range(2):
+            c.inc(rank=3)
+            c.inc(rank="3")
+        assert c.label_keys() == [(("rank", "3"),)]
+        assert c.value(rank=3) == 4
+
+    def test_bool_int_and_float_write_three_series(self):
+        reg = MetricsRegistry()
+        c = reg.counter("c")
+        g = reg.gauge("g")
+        h = reg.histogram("h")
+        for _ in range(2):  # the second pass reads the resolution table
+            for value in (True, 1, 1.0):
+                c.inc(flag=value)
+                g.set(5, flag=value)
+                h.observe(2, flag=value)
+        keys = [(("flag", "1"),), (("flag", "1.0"),), (("flag", "True"),)]
+        for metric in (c, g, h):
+            assert metric.label_keys() == keys
+        assert [c.value(flag=v) for v in ("True", "1", "1.0")] == [2, 2, 2]
+        assert [h.count(flag=v) for v in ("True", "1", "1.0")] == [2, 2, 2]
+
+    def test_every_write_past_the_cap_is_dropped_and_warns_once(self):
+        import warnings
+
+        reg = MetricsRegistry(max_series_per_metric=1)
+        c = reg.counter("c")
+        g = reg.gauge("g")
+        c.inc(rank=0)
+        g.set(1, rank=0)
+        with pytest.warns(RuntimeWarning) as caught:
+            for _ in range(3):
+                c.inc(rank=1)
+                c.inc(rank=2)
+                g.add(1, rank=1)
+        assert len(caught) == 2  # one per family
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = c.bind("rank")
+            table.inc(5)
+            table.inc(5)
+            table.inc(0)  # an admitted series stays writable
+        assert reg.dropped_series == 3 * 3 + 2
+        assert c.label_keys() == [(("rank", "0"),)]
+        assert c.value(rank=0) == 2
+        assert g.label_keys() == [(("rank", "0"),)]
+
+    def test_write_hooks_get_the_callers_raw_labels(self):
+        reg = MetricsRegistry()
+        seen = []
+        reg.add_write_hook(lambda metric, value, labels: seen.append((metric.name, value, labels)))
+        c = reg.counter("c")
+        c.inc(rank=3)
+        c.inc(2, rank="3")
+        c.bind("rank", "op").inc((3, "put"), 4)
+        reg.gauge("g").set(7, device=1)
+        reg.histogram("h").bind("device").observe(2, 9)
+        assert seen == [
+            ("c", 1.0, {"rank": 3}),
+            ("c", 2.0, {"rank": "3"}),
+            ("c", 4.0, {"rank": 3, "op": "put"}),
+            ("g", 7.0, {"device": 1}),
+            ("h", 9.0, {"device": 2}),
+        ]
+        assert type(seen[1][2]["rank"]) is str
+
+    def test_bound_table_and_keywords_share_series(self):
+        reg = MetricsRegistry()
+        c = reg.counter("c")
+        table = c.bind("rank", "op")
+        table.inc((1, "get"))
+        c.inc(3, op="get", rank=1)
+        assert c.label_keys() == [(("op", "get"), ("rank", "1"))]
+        assert c.value() == 4
+        with pytest.raises(ConfigurationError, match="negative"):
+            table.inc((1, "get"), -1)
+        assert c.bind("rank", "op") is table
+        with pytest.raises(AttributeError):
+            reg.gauge("g").bind("rank").inc(0)  # each kind keeps its own verb
+
+    def test_disabled_registry_tables_record_nothing(self):
+        reg = MetricsRegistry(enabled=False)
+        c = reg.counter("c")
+        c.bind("rank").inc(0)
+        reg.gauge("g").bind("rank").set(0, 5)
+        assert c.series_count() == 0
+        assert reg.gauge("g").series_count() == 0
+        assert len(c.bind("rank")) == 0
+
+    def test_each_series_key_resolved_once_in_a_64_rank_run(self, monkeypatch):
+        from repro.obs import metrics
+
+        calls = []
+        resolve = metrics._label_key
+
+        def counting(items, pairs):
+            key = resolve(items, pairs)
+            calls.append(pairs)  # reads pass a throwaway table
+            return key
+
+        monkeypatch.setattr(metrics, "_label_key", counting)
+        world = World(platform_a(), num_nodes=16)
+        DiompRuntime(world)
+
+        def prog(ctx):
+            d = ctx.diomp
+            send = d.alloc(16 * 1024)
+            recv = d.alloc(16 * 1024)
+            d.barrier()
+            for _ in range(3):
+                d.allreduce(send, recv)
+                d.fence()
+            d.barrier()
+
+        run_spmd(world, prog, config=SpmdConfig(analytic=True))
+        assert world.nranks == 64
+        series = sum(m.series_count() for m in world.obs.registry)
+        assert series > 64 * 4
+        assert sum(p is world.obs.registry._pairs for p in calls) == series
