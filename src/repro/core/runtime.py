@@ -54,6 +54,9 @@ from repro.sim import Rendezvous
 from repro.util.errors import CommunicationError, ConfigurationError
 from repro.util.units import MiB, US
 
+#: ``DiompParams.conduit`` name -> conduit class
+CONDUITS = {"gasnet": GasnetConduit, "gpi2": Gpi2Conduit}
+
 
 @dataclasses.dataclass(frozen=True)
 class DiompParams:
@@ -65,7 +68,7 @@ class DiompParams:
     host_segment_size: int = 16 * MiB
     #: heap strategy inside the segment: "linear" | "buddy"
     allocator: str = "linear"
-    #: communication middleware: "gasnet" | "gpi2"
+    #: communication middleware: a name in :data:`CONDUITS`
     conduit: str = "gasnet"
     #: stream pool policy
     stream_params: StreamPoolParams = dataclasses.field(default_factory=StreamPoolParams)
@@ -106,14 +109,13 @@ class DiompRuntime:
         #: the world's observability layer: one metrics registry and
         #: span profiler shared by every rank handle and subsystem
         self.obs = world.obs
-        if self.params.conduit == "gasnet":
-            self.conduit = GasnetConduit(world)
-        elif self.params.conduit == "gpi2":
-            self.conduit = Gpi2Conduit(world)
-        else:
+        conduit_cls = CONDUITS.get(self.params.conduit)
+        if conduit_cls is None:
             raise ConfigurationError(
-                f"unknown conduit {self.params.conduit!r} (gasnet | gpi2)"
+                f"unknown conduit {self.params.conduit!r} "
+                f"({' | '.join(CONDUITS)})"
             )
+        self.conduit = conduit_cls(world)
         self.ompccl = Ompccl(world, self.conduit)
         #: (rank, device_num) -> GlobalSegment
         self.segments: Dict[Tuple[int, int], GlobalSegment] = {}

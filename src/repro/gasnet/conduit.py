@@ -1,4 +1,4 @@
-"""The GASNet-EX conduit: segments, one-sided RMA, active messages.
+"""The conduit client core and the GASNet-EX conduit.
 
 API shape follows GASNet-EX:
 
@@ -12,6 +12,12 @@ API shape follows GASNet-EX:
 * active messages carry small control payloads and run a registered
   handler on the target at delivery time (used for allocation
   coordination and OMPCCL UniqueID exchange).
+
+:class:`ConduitClient` implements all of that once; GASNet-EX and
+GPI-2 (:mod:`repro.gpi2`) are thin subclasses that differ only in
+their calibration (:class:`ConduitParams`), their conduit name (the
+``conduit=`` metric label), their synthetic host-segment base, and —
+for GPI-2 — queues and notifications.
 
 Timing: per-op initiator overhead + NIC message overhead are added as
 extra latency on the fabric transfer; protocol efficiency scales the
@@ -36,26 +42,27 @@ from repro.util.units import MiB, US
 
 
 @dataclasses.dataclass(frozen=True)
-class GasnetParams:
-    """Calibration constants for the conduit's software stack."""
+class ConduitParams:
+    """Calibration constants for a conduit's software stack.
+
+    Each conduit subclass gives the per-op overheads and bandwidth
+    efficiencies their defaults.
+    """
 
     #: initiator-side software cost of issuing one put
-    put_overhead: float = 0.40 * US
-    #: initiator-side software cost of issuing one get (slightly higher:
-    #: the response must be matched to the request)
-    get_overhead: float = 0.55 * US
+    put_overhead: float
+    #: initiator-side software cost of issuing one get
+    get_overhead: float
     #: cost of one AM (short control message) above the wire time
-    am_overhead: float = 0.60 * US
+    am_overhead: float
     #: fraction of link bandwidth sustained below the pipeline threshold
-    bw_efficiency_small: float = 0.90
+    bw_efficiency_small: float
     #: fraction sustained at/above the pipeline threshold
-    bw_efficiency_large: float = 0.95
+    bw_efficiency_large: float
     #: message size where the conduit switches to pipelined transfers
     pipeline_threshold: int = 4 * MiB
-    #: cost of one explicit poll call (gasnet_AMPoll)
-    poll_cost: float = 0.05 * US
     #: messages at/above this size stripe across all node NICs
-    #: (GASNet-EX multirail support on multi-NIC nodes)
+    #: (multirail support on multi-NIC nodes)
     multirail_threshold: int = 4 * MiB
     #: recovery policy applied when a fault plan is installed
     retry: RetryPolicy = dataclasses.field(default_factory=RetryPolicy)
@@ -67,6 +74,19 @@ class GasnetParams:
 
     def rails_for(self, nbytes: int, nics_per_node: int) -> int:
         return nics_per_node if nbytes >= self.multirail_threshold else 1
+
+
+@dataclasses.dataclass(frozen=True)
+class GasnetParams(ConduitParams):
+    """Calibration constants for the GASNet-EX software stack."""
+
+    put_overhead: float = 0.40 * US
+    #: slightly higher than a put: the response must be matched to the
+    #: request
+    get_overhead: float = 0.55 * US
+    am_overhead: float = 0.60 * US
+    bw_efficiency_small: float = 0.90
+    bw_efficiency_large: float = 0.95
 
 
 class GasnetEvent:
@@ -164,35 +184,44 @@ class SpaceSegment(Segment):
         return MemRef.device(buffer, offset, nbytes)
 
 
-class GasnetConduit:
+class Conduit:
     """Conduit state shared by all ranks of a world."""
 
-    def __init__(self, world: World, params: Optional[GasnetParams] = None) -> None:
+    #: calibration used when none is given
+    params_cls: type
+    #: the per-rank endpoint class
+    client_cls: type
+
+    def __init__(self, world: World, params: Optional[ConduitParams] = None) -> None:
         self.world = world
-        self.params = params or GasnetParams()
-        self.clients: List[GasnetClient] = [
-            GasnetClient(self, rank) for rank in range(world.nranks)
+        self.params = params or self.params_cls()
+        self.clients: List[ConduitClient] = [
+            self.client_cls(self, rank) for rank in range(world.nranks)
         ]
 
-    def client(self, rank: int) -> "GasnetClient":
+    def client(self, rank: int) -> "ConduitClient":
         if not 0 <= rank < len(self.clients):
             raise CommunicationError(f"rank {rank} out of range")
         return self.clients[rank]
 
 
-class GasnetClient:
-    """One rank's endpoint into the conduit."""
+class ConduitClient:
+    """One rank's endpoint into a conduit: segments, one-sided RMA,
+    flushes and active messages."""
 
-    def __init__(self, conduit: GasnetConduit, rank: int) -> None:
+    #: the ``conduit=`` metric label and retry-description prefix
+    conduit_name: str
+    #: synthetic address where this rank's host segments start
+    host_segment_base: int
+
+    def __init__(self, conduit: Conduit, rank: int) -> None:
         self.conduit = conduit
         self.rank = rank
         self.segments: List[Segment] = []
         self._am_handlers: Dict[str, Callable[[int, Any], Any]] = {}
-        #: events issued and not yet known-complete (drained by sync_all)
-        self._pending: List[GasnetEvent] = []
-        self.puts_issued = 0
-        self.gets_issued = 0
-        self.ams_sent = 0
+        #: per queue, the ops still in flight plus the failed ones no
+        #: flush has reported yet (GASNet-EX is the one-queue case)
+        self._queues: List[List[GasnetEvent]] = [[]]
         # -- metrics (message counts/bytes by size class; repro.obs) --
         obs = conduit.world.obs
         self._m_msgs = obs.counter(
@@ -239,7 +268,7 @@ class GasnetClient:
         return wrapped
 
     def _count_message(self, op: str, nbytes: int) -> None:
-        key = ("gasnet", op, size_class(nbytes), self.rank)
+        key = (self.conduit_name, op, size_class(nbytes), self.rank)
         self._msgs_by.inc(key)
         self._bytes_by.inc(key, nbytes)
 
@@ -256,16 +285,8 @@ class GasnetClient:
         if hasattr(memref.storage, "address"):
             base = memref.storage.address + memref.offset
         else:
-            base = 0x1000_0000 + sum(s.size for s in self.segments)
-        seg = Segment(self.rank, memref, base)
-        for existing in self.segments:
-            if seg.base_address < existing.end_address and existing.base_address < seg.end_address:
-                raise CommunicationError(
-                    f"segment [{seg.base_address:#x}, +{seg.size}) overlaps an "
-                    "already attached segment"
-                )
-        self.segments.append(seg)
-        return seg
+            base = self.host_segment_base + sum(s.size for s in self.segments)
+        return self._attach(Segment(self.rank, memref, base))
 
     def attach_space_segment(self, space, base_address: int, size: int) -> SpaceSegment:
         """Register a reserved device address range as a segment.
@@ -274,10 +295,15 @@ class GasnetClient:
         registered once; later placements inside it are remotely
         addressable with no further registration.
         """
-        seg = SpaceSegment(self.rank, space, base_address, size)
+        return self._attach(SpaceSegment(self.rank, space, base_address, size))
+
+    def _attach(self, seg: Segment) -> Segment:
         for existing in self.segments:
             if seg.base_address < existing.end_address and existing.base_address < seg.end_address:
-                raise CommunicationError("segment overlaps an attached segment")
+                raise CommunicationError(
+                    f"segment [{seg.base_address:#x}, +{seg.size}) overlaps an "
+                    "already attached segment"
+                )
         self.segments.append(seg)
         return seg
 
@@ -315,83 +341,17 @@ class GasnetClient:
             issue,
             self.conduit.params.retry,
             obs=world.obs,
-            labels=dict(conduit="gasnet", op=op, rank=self.rank),
-            description=f"gasnet-{op}-r{self.rank}",
+            labels=dict(conduit=self.conduit_name, op=op, rank=self.rank),
+            description=f"{self.conduit_name}-{op}-r{self.rank}",
         ).future
 
     def put_nb(self, dst_rank: int, dst_address: int, src: MemRef) -> GasnetEvent:
         """Non-blocking one-sided put of ``src`` to a remote address."""
-        dst = self._resolve_remote(dst_rank, dst_address, src.nbytes)
-        params = self.conduit.params
-        world = self.conduit.world
-        nic_overhead = world.platform.node.nic.message_overhead
-        complete = self._trace_delivery(
-            "conduit.deliver", dst_rank, lambda: dst.copy_from(src)
-        )
-
-        def issue() -> Future:
-            return world.transfer(
-                src.endpoint,
-                dst.endpoint,
-                src.nbytes,
-                operation="put",
-                gpu_memory=src.is_device or dst.is_device,
-                on_complete=complete,
-                extra_latency=params.put_overhead,
-                occupancy_overhead=nic_overhead,
-                bandwidth_factor=params.bw_efficiency(src.nbytes),
-                rails=params.rails_for(
-                    src.nbytes, world.platform.node.nics_per_node
-                ),
-                force_network=src.endpoint != dst.endpoint
-                and src.endpoint.node == dst.endpoint.node,
-                fault_site="conduit.put",
-                initiator=self.rank,
-            )
-
-        fut = self._launch(issue, "put")
-        self.puts_issued += 1
-        self._count_message("put", src.nbytes)
-        event = GasnetEvent(fut)
-        self._pending.append(event)
-        return event
+        return self._batch_nb("put", dst_rank, ((dst_address, src),))
 
     def get_nb(self, src_rank: int, src_address: int, dst: MemRef) -> GasnetEvent:
         """Non-blocking one-sided get from a remote address into ``dst``."""
-        src = self._resolve_remote(src_rank, src_address, dst.nbytes)
-        params = self.conduit.params
-        world = self.conduit.world
-        nic_overhead = world.platform.node.nic.message_overhead
-        complete = self._trace_delivery(
-            "conduit.deliver", src_rank, lambda: dst.copy_from(src)
-        )
-
-        def issue() -> Future:
-            return world.transfer(
-                src.endpoint,
-                dst.endpoint,
-                dst.nbytes,
-                operation="get",
-                gpu_memory=src.is_device or dst.is_device,
-                on_complete=complete,
-                extra_latency=params.get_overhead,
-                occupancy_overhead=nic_overhead,
-                bandwidth_factor=params.bw_efficiency(dst.nbytes),
-                rails=params.rails_for(
-                    dst.nbytes, world.platform.node.nics_per_node
-                ),
-                force_network=src.endpoint != dst.endpoint
-                and src.endpoint.node == dst.endpoint.node,
-                fault_site="conduit.get",
-                initiator=self.rank,
-            )
-
-        fut = self._launch(issue, "get")
-        self.gets_issued += 1
-        self._count_message("get", dst.nbytes)
-        event = GasnetEvent(fut)
-        self._pending.append(event)
-        return event
+        return self._batch_nb("get", src_rank, ((src_address, dst),))
 
     def put_batch_nb(
         self, dst_rank: int, ops: Sequence[Tuple[int, MemRef]]
@@ -416,8 +376,15 @@ class GasnetClient:
         return self._batch_nb("get", src_rank, ops)
 
     def _batch_nb(
-        self, op: str, peer_rank: int, ops: Sequence[Tuple[int, MemRef]]
+        self,
+        op: str,
+        peer_rank: int,
+        ops: Sequence[Tuple[int, MemRef]],
+        queue: int = 0,
     ) -> GasnetEvent:
+        """Issue ``(remote address, local memref)`` pairs as one conduit
+        message posted to ``queue``; a single put/get is a one-pair
+        batch."""
         if not ops:
             raise CommunicationError(f"empty {op} batch for rank {peer_rank}")
         resolved = [
@@ -435,7 +402,11 @@ class GasnetClient:
                     f"{local.endpoint}->{remote.endpoint} vs "
                     f"{local0.endpoint}->{remote0.endpoint}"
                 )
-        total = sum(local.nbytes for _remote, local in resolved)
+        total = 0
+        gpu_memory = False
+        for remote, local in resolved:
+            total += local.nbytes
+            gpu_memory = gpu_memory or remote.is_device or local.is_device
         params = self.conduit.params
         world = self.conduit.world
         nic_overhead = world.platform.node.nic.message_overhead
@@ -461,9 +432,7 @@ class GasnetClient:
                 dst_ep,
                 total,
                 operation=op,
-                gpu_memory=any(
-                    rem.is_device or loc.is_device for rem, loc in resolved
-                ),
+                gpu_memory=gpu_memory,
                 on_complete=complete,
                 extra_latency=overhead,
                 occupancy_overhead=nic_overhead,
@@ -475,31 +444,51 @@ class GasnetClient:
             )
 
         fut = self._launch(issue, op)
-        if op == "put":
-            self.puts_issued += 1
-        else:
-            self.gets_issued += 1
         self._count_message(op, total)
         event = GasnetEvent(fut)
-        self._pending.append(event)
+        pending = self._queues[queue]
+        pending.append(event)
+
+        def settle(done: Future) -> None:
+            # A completed op leaves its queue; a failed one stays until
+            # a flush reports it.
+            if done.error is None:
+                pending.remove(event)
+
+        fut.add_done_callback(settle)
         return event
+
+    # -- completion -------------------------------------------------------------
+
+    def _drain(self, queue: int) -> None:
+        """Wait for every op posted to ``queue``.
+
+        Raises the terminal error of the first failed op, whether it
+        failed before or during the flush; a reported failure leaves
+        the queue, and ops after it stay queued for the next flush.
+        """
+        pending = self._queues[queue]
+        for event in tuple(pending):
+            if not event.test():
+                try:
+                    event.wait()
+                except BaseException:
+                    if event.failure is None:
+                        raise
+            if event.failure is not None:
+                pending.remove(event)
+                raise event.failure
 
     def sync_all(self) -> None:
         """Wait for every operation this client has issued (``gex_NBI``-
         style flush; the building block of the DiOMP fence)."""
-        pending, self._pending = self._pending, []
-        for event in pending:
-            if not event.test():
-                event.wait()
+        for queue in range(len(self._queues)):
+            self._drain(queue)
 
     @property
     def pending_count(self) -> int:
-        self._pending = [e for e in self._pending if not e.test()]
-        return len(self._pending)
-
-    def poll(self) -> None:
-        """Advance the simulated cost of one explicit poll call."""
-        self.conduit.world.sim.sleep(self.conduit.params.poll_cost)
+        """Operations issued and not yet complete."""
+        return sum(not event.test() for queue in self._queues for event in queue)
 
     # -- active messages -----------------------------------------------------
 
@@ -521,7 +510,6 @@ class GasnetClient:
         target = self.conduit.client(dst_rank)
         src_host = world.topology.host(world.ranks[self.rank].node)
         dst_host = world.topology.host(world.ranks[dst_rank].node)
-        self.ams_sent += 1
         self._count_message("am", payload_bytes)
         obs = self._obs
         send_ctx = obs.capture(track=f"rank{self.rank}")
@@ -585,3 +573,27 @@ class GasnetClient:
             return attempt
 
         return self._launch(issue, "am")
+
+
+class GasnetClient(ConduitClient):
+    """One rank's GASNet-EX endpoint."""
+
+    conduit_name = "gasnet"
+    host_segment_base = 0x1000_0000
+
+    # The layer tracer (perfbench/layers.py) patches each entry point
+    # through the class's own __dict__, so they are bound here too.
+    put_nb = ConduitClient.put_nb
+    get_nb = ConduitClient.get_nb
+    put_batch_nb = ConduitClient.put_batch_nb
+    get_batch_nb = ConduitClient.get_batch_nb
+    am_request = ConduitClient.am_request
+    attach_segment = ConduitClient.attach_segment
+    attach_space_segment = ConduitClient.attach_space_segment
+
+
+class GasnetConduit(Conduit):
+    """GASNet-EX conduit shared by all ranks of a world."""
+
+    params_cls = GasnetParams
+    client_cls = GasnetClient

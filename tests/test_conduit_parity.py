@@ -2,14 +2,19 @@
 GASNet-EX and GPI-2 freely, so both clients expose the same surface
 and equivalent semantics."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.cluster import MemRef, World, run_spmd
 from repro.core import DiompParams, DiompRuntime
+from repro.faults import FaultPlan, FaultSpec
 from repro.gasnet import GasnetConduit
 from repro.gpi2 import Gpi2Conduit
 from repro.hardware import platform_c
+from repro.util.errors import FatalError
 from repro.util.units import KiB
 
 INTERFACE = [
@@ -19,7 +24,6 @@ INTERFACE = [
     "get_nb",
     "sync_all",
     "pending_count",
-    "poll",
     "register_handler",
     "am_request",
 ]
@@ -130,3 +134,68 @@ class TestInterfaceParity:
 
         run_spmd(w, prog)
         assert out["v"] == 9
+
+
+def _two_node_conduit(conduit_cls, faults=None):
+    """One rank per node, a 1 KiB device segment on each."""
+    w = World(platform_c(), num_nodes=2, ranks_per_node=1, faults=faults)
+    conduit = conduit_cls(w)
+    bufs = []
+    for ctx in w.ranks:
+        buf = ctx.device.malloc(1 * KiB)
+        conduit.client(ctx.rank).attach_segment(MemRef.device(buf))
+        bufs.append(buf)
+    return w, conduit, bufs
+
+
+class TestFlushSemantics:
+    @pytest.mark.parametrize("conduit_cls", [GasnetConduit, Gpi2Conduit])
+    @pytest.mark.parametrize("fails", ["before_flush", "during_flush"])
+    def test_flush_reports_exhausted_op(self, conduit_cls, fails):
+        """A flush raises the terminal error of a put that exhausted its
+        retries, whether the put gave up before the flush started or
+        while the flush waited; the failure is reported exactly once."""
+        plan = FaultPlan([FaultSpec(site="conduit.put", kind="transient")])
+        w, conduit, bufs = _two_node_conduit(conduit_cls, faults=plan)
+        out = {}
+
+        def prog(ctx):
+            if ctx.rank == 0:
+                client = conduit.client(0)
+                local = ctx.device.malloc(64)
+                event = client.put_nb(1, bufs[1].address, MemRef.device(local))
+                if fails == "before_flush":
+                    ctx.sim.sleep(1.0)  # far past the last retry
+                out["failed_before"] = event.failure is not None
+                with pytest.raises(FatalError):
+                    client.sync_all()
+                out["pending"] = client.pending_count
+                client.sync_all()  # already reported: nothing left
+
+        run_spmd(w, prog)
+        assert out == {
+            "failed_before": fails == "before_flush",
+            "pending": 0,
+        }
+
+    @pytest.mark.parametrize("conduit_cls", [GasnetConduit, Gpi2Conduit])
+    def test_completed_ops_are_not_retained(self, conduit_cls):
+        """A client keeps no handle of an op that completed: after many
+        waited puts only the caller's last handle is alive."""
+        w, conduit, bufs = _two_node_conduit(conduit_cls)
+        refs = []
+
+        def prog(ctx):
+            if ctx.rank == 0:
+                client = conduit.client(0)
+                local = MemRef.device(ctx.device.malloc(64))
+                for _ in range(200):
+                    event = client.put_nb(1, bufs[1].address, local)
+                    event.wait()
+                    refs.append(weakref.ref(event))
+
+        run_spmd(w, prog)
+        gc.collect()
+        assert len(refs) == 200
+        assert sum(ref() is not None for ref in refs) <= 1
+        assert conduit.client(0).pending_count == 0
