@@ -94,6 +94,57 @@ def diomp_p2p(
     return results
 
 
+def fence_parks_per_call(
+    platform: PlatformSpec,
+    seed: int = 1,
+    ops: int = 32,
+    fence_every: int = 4,
+) -> float:
+    """Blocking hand-offs (``Simulator.parks``) per ``ompx_fence`` call.
+
+    Rank 0 of a two-node world issues a seeded mix of ``ops`` puts and
+    gets — 8 B to 64 KiB, to peers on its own node (IPC path) and on
+    the other node (conduit path) — with a fence every
+    ``fence_every`` operations.  The other ranks only allocate and
+    pass the first barrier, then return (one-sided targets need no
+    host thread), so every park counted inside a fence window is
+    rank 0's own.  Deterministic for a seed.
+    """
+    import random
+
+    rng = random.Random(seed)
+    max_size = 64 * KiB
+    world = World(platform, num_nodes=2)
+    DiompRuntime(world, DiompParams(segment_size=_segment_for([max_size])))
+    schedule = [
+        (
+            rng.choice(("put", "get")),
+            rng.randrange(1, world.nranks),
+            8 << rng.randrange(14),
+        )
+        for _ in range(ops)
+    ]
+
+    def prog(ctx):
+        gbuf = ctx.diomp.alloc(max_size, virtual=True)
+        local = ctx.diomp.segment(0).alloc_local(max_size, virtual=True)
+        ctx.diomp.barrier()
+        if ctx.rank != 0:
+            return None
+        parks = fences = 0
+        for i, (op, peer, size) in enumerate(schedule, start=1):
+            issue = ctx.diomp.put if op == "put" else ctx.diomp.get
+            issue(peer, gbuf, MemRef.device(local, nbytes=size))
+            if i % fence_every == 0 or i == len(schedule):
+                before = ctx.sim.parks
+                ctx.diomp.fence()
+                parks += ctx.sim.parks - before
+                fences += 1
+        return parks / fences
+
+    return run_spmd(world, prog).results[0]
+
+
 def mpi_p2p(
     platform: PlatformSpec,
     op: str,

@@ -4,7 +4,8 @@ The simulator is deterministic, so key benchmark figures are exactly
 reproducible run-over-run; any drift is a *code* change.  This module
 snapshots a small set of headline numbers — put/get latency and
 bandwidth points from the Fig. 3/4 sweeps, the profiled Cannon
-wall-clock, and its critical-path breakdown by category — to
+wall-clock, its critical-path breakdown by category, and the parks
+per ``ompx_fence`` of a seeded put/get/fence run, among others — to
 ``BENCH_<name>.json``, and compares a fresh collection against the
 committed baseline with per-metric tolerances and directions.
 
@@ -75,6 +76,11 @@ GATED_METRICS: Dict[str, MetricSpec] = {
     "engine.events": MetricSpec(0.0),
     "engine.events_per_sec": MetricSpec(0.90, better="higher"),
     "engine.wall_per_simsec": MetricSpec(4.0),
+    # Blocking hand-offs per ompx_fence in a seeded put/get/fence run
+    # (repro.bench.microbench.fence_parks_per_call).  Deterministic:
+    # the hybrid poll loop runs on the scheduler, so a fence parks its
+    # task once; one more park per poll step fails the gate.
+    "fence.parks_per_call": MetricSpec(0.0),
     # 1024-rank scale sweeps (repro.bench.scale, analytic-rank mode).
     # Event and park counts (zero tolerance) and modelled times are
     # deterministic; the throughput figure is wall-clock and only
@@ -171,6 +177,11 @@ def collect() -> Dict[str, float]:
     out["engine.events_per_sec"] = engine["events_per_sec"]
     out["engine.wall_per_simsec"] = engine["wall_per_simsec"]
 
+    # Fence park gate: one seeded put/get/fence mix on both RMA paths.
+    from repro.bench.microbench import fence_parks_per_call
+
+    out["fence.parks_per_call"] = fence_parks_per_call(platform)
+
     # 1024-rank scale gate: analytic allreduce sweep plus truncated
     # Cannon rotation (see repro.bench.scale).
     from repro.bench.scale import scale_gate_metrics
@@ -233,6 +244,7 @@ def write_snapshot(path: str, metrics: Dict[str, float], name: str) -> None:
         "workload": (
             "diomp-p2p microbench + profiled cannon (n=128) + "
             "fig6 allreduce algorithm ablation (64 MiB, 2 nodes) + "
+            "seeded put/get/fence park count + "
             "1024-rank analytic allreduce/cannon scale sweeps + "
             "multi-tenant service idle/saturated load points with "
             "SLO burn-rate alert calibration + plan-vs-hand "

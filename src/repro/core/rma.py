@@ -45,6 +45,7 @@ from repro.core.asymmetric import AsymmetricBuffer
 from repro.core.globalmem import GlobalBuffer, HostGlobalBuffer
 from repro.faults import RetryingOp
 from repro.hardware.topology import PathKind
+from repro.sim import Future
 from repro.util.errors import CommunicationError, ConfigurationError, FatalError
 from repro.util.units import KiB
 
@@ -81,15 +82,13 @@ class _PendingOp:
     """One issued-but-unfenced operation (conduit or intra-node)."""
 
     target_rank: int
-    event: object
+    #: the operation's completion: fires when it lands, fails with the
+    #: terminal error once recovery is exhausted
+    future: Future
     #: pooled stream the operation occupies (intra-node path only) —
     #: lets a group-scoped fence drain exactly the streams its member
     #: operations ride on
     stream: Optional[object] = None
-
-    @property
-    def failure(self):
-        return getattr(self.event, "failure", None)
 
 
 @dataclasses.dataclass
@@ -100,29 +99,6 @@ class _AggBatch:
     op: str
     ops: List[Tuple[int, MemRef]] = dataclasses.field(default_factory=list)
     nbytes: int = 0
-
-
-class _FutureEvent:
-    """Adapts a sim Future to the conduit event interface."""
-
-    def __init__(self, future) -> None:
-        self._future = future
-
-    def test(self) -> bool:
-        return self._future.poll()
-
-    def wait(self):
-        return self._future.wait()
-
-    @property
-    def failure(self):
-        """Terminal error of a failed operation (None if OK/pending)."""
-        return getattr(self._future, "error", None)
-
-    @property
-    def eta(self):
-        """Expected completion time (hybrid-polling hint)."""
-        return getattr(self._future, "eta", None)
 
 
 class DiompRma:
@@ -407,7 +383,7 @@ class DiompRma:
                 event = client.put_nb(target_rank, addr, local)
             else:
                 event = client.get_nb(target_rank, addr, local)
-            self._outstanding.append(_PendingOp(target_rank, event))
+            self._outstanding.append(_PendingOp(target_rank, event.future))
             self._count_op(op, "conduit", local.nbytes)
 
     def _count_op(self, op: str, path: str, nbytes: int) -> None:
@@ -451,7 +427,7 @@ class DiompRma:
             event = client.put_batch_nb(batch.target_rank, batch.ops)
         else:
             event = client.get_batch_nb(batch.target_rank, batch.ops)
-        self._outstanding.append(_PendingOp(batch.target_rank, event))
+        self._outstanding.append(_PendingOp(batch.target_rank, event.future))
         rank = self.diomp.rank
         self._m_agg_batches.inc(op=batch.op, reason=reason, rank=rank)
         self._m_agg_ops.inc(len(batch.ops), op=batch.op, rank=rank)
@@ -568,9 +544,7 @@ class DiompRma:
                 labels=dict(conduit="intra", op=op, rank=diomp.rank),
                 description=f"intra-{op}-r{diomp.rank}",
             ).future
-        self._outstanding.append(
-            _PendingOp(target_rank, _FutureEvent(fut), stream)
-        )
+        self._outstanding.append(_PendingOp(target_rank, fut, stream))
 
     # -- completion --------------------------------------------------------------
 
@@ -603,7 +577,7 @@ class DiompRma:
             self._outstanding = [
                 p for p in self._outstanding if not group.contains(p.target_rank)
             ]
-        events = [p.event for p in pending]
+        events = [p.future for p in pending]
         pool = self.diomp.stream_pool(device_num)
         with self._obs.span("rma.fence", rank=self.diomp.rank, events=len(events)):
             if group is None:
@@ -620,7 +594,9 @@ class DiompRma:
                         streams.append(p.stream)
                 iterations = pool.hybrid_fence(events, streams=streams)
         failed = [
-            (p.target_rank, p.failure) for p in pending if p.failure is not None
+            (p.target_rank, p.future.error)
+            for p in pending
+            if p.future.error is not None
         ]
         if failed:
             rank, first = failed[0]
@@ -638,14 +614,14 @@ class DiompRma:
         """Operations not yet completed (issued + queued-for-aggregation).
 
         Successfully completed operations are pruned, but *failed* ones
-        are retained: a conduit event's ``test()`` also returns True on
-        terminal failure, and polling this property must never swallow
-        an error the next fence is obligated to raise.
+        are retained: a failed completion future has also fired, and
+        polling this property must never swallow an error the next
+        fence is obligated to raise.
         """
         self._outstanding = [
             p
             for p in self._outstanding
-            if not p.event.test() or p.failure is not None
+            if not p.future.fired or p.future.error is not None
         ]
         queued = sum(len(b.ops) for b in self._agg_queues.values())
         return len(self._outstanding) + queued

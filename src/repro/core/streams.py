@@ -11,18 +11,21 @@ Four techniques, all ablatable via :class:`StreamPoolParams`:
   keep running, sustaining pipeline throughput,
 * **hybrid event polling** — ``ompx_fence`` polls network events and
   device stream completions in one coordinated loop so neither side
-  stalls the other.
+  stalls the other.  The loop is a scheduler-side state machine (poll
+  steps are timed callbacks, waits are done-callbacks on completion
+  futures), so a fence parks its task once, not once per poll step.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import List, Optional, Sequence
 
 from repro.device.driver import Device
 from repro.device.stream import Stream
 from repro.obs import Observability
-from repro.sim import Simulator, Tracer
+from repro.sim import Future, Simulator, Tracer
 from repro.util.errors import ConfigurationError
 from repro.util.units import US
 
@@ -194,20 +197,28 @@ class StreamPool:
 
     def hybrid_fence(
         self,
-        network_events: Sequence[object],
+        network_events: Sequence[Future],
         streams: Optional[Sequence[Stream]] = None,
     ) -> int:
         """The unified polling loop of ``ompx_fence``.
 
-        Polls GASNet/GPI-2 events (objects with ``test()``/``wait()``)
-        and device stream completions together: each pass tests
-        everything that is still pending, then blocks on the *earliest*
-        remaining completion rather than serializing on issue order.
-        Network events advertise their expected completion via an
-        ``eta`` attribute (set by the fabric); events without one sort
-        last, which degrades to issue order when no ETA is known.
-        Returns the number of poll iterations (traced for the ablation
-        bench).
+        Polls network completions (GASNet/GPI-2 and intra-node transfer
+        :class:`~repro.sim.Future` objects) and device stream
+        completions together: each pass tests everything that is still
+        pending, then waits for the *earliest* remaining completion
+        rather than serializing on issue order.  An event's ``eta``
+        (set by the fabric) is its expected completion; events without
+        one sort last, which degrades to issue order when no ETA is
+        known.  A failed event is a terminal state like a fired one:
+        the loop drains everything, and the caller reports failures
+        from the events' ``error``.  Returns the number of poll
+        iterations (traced for the ablation bench).
+
+        The loop runs on the scheduler — each poll step is a
+        ``call_later(poll_cost)``, each wait a done-callback on the
+        chosen completion — so the calling task parks once, on the
+        loop's own future, however many iterations it takes; virtual
+        time is the same as polling from the task.
 
         With ``streams`` given, only those streams are drained — the
         group-scoped fence: operations parked on *other* streams (to
@@ -216,52 +227,74 @@ class StreamPool:
         safe, its owner reclaims it at the next acquire.  ``streams``
         of ``None`` (the default) drains this whole pool.
         """
+        sim = self.sim
+        poll_cost = self.params.poll_cost
+        if streams is None:
 
-        def event_eta(event: object) -> float:
-            eta = getattr(event, "eta", None)
-            return float("inf") if eta is None else eta
+            def busy_streams() -> List[Stream]:
+                self._reclaim_idle()
+                return self._busy
 
-        scoped = streams is not None
-        if scoped:
-            targets: List[Stream] = []
-            for stream in streams:
-                if stream not in targets:
-                    targets.append(stream)
+        else:
+            targets = list(dict.fromkeys(streams))
 
-        def busy_streams() -> List[Stream]:
-            if scoped:
+            def busy_streams() -> List[Stream]:
                 return [s for s in targets if not s.idle]
-            self._reclaim_idle()
-            return self._busy
 
-        pending_events = [e for e in network_events if not e.test()]
-        pending_streams = busy_streams()
+        pending_events = [e for e in network_events if not e.fired]
         iterations = 0
-        while pending_events or pending_streams:
-            iterations += 1
-            self.poll_iterations += 1
-            self.sim.sleep(self.params.poll_cost)
-            pending_events = [e for e in pending_events if not e.test()]
-            pending_streams = busy_streams()
-            if not pending_events and not pending_streams:
-                break
-            # Block on whichever side completes first.
-            next_stream = min(
-                pending_streams, key=lambda s: s.available_at, default=None
-            )
-            next_event = min(pending_events, key=event_eta, default=None)
-            if next_stream is not None and (
-                next_event is None
-                or next_stream.available_at <= event_eta(next_event)
-                or next_stream.available_at <= self.sim.now
-            ):
-                next_stream.synchronize()
-            elif next_event is not None:
-                next_event.wait()
-                pending_events.remove(next_event)
+        if pending_events or busy_streams():
+            done = Future(sim, description="hybrid_fence")
+
+            def step() -> None:
+                nonlocal iterations
+                iterations += 1
+                self.poll_iterations += 1
+                sim.call_later(poll_cost, poll)
+
+            def poll() -> None:
+                nonlocal pending_events
+                pending_events = [e for e in pending_events if not e.fired]
+                pending_streams = busy_streams()
+                if not pending_events and not pending_streams:
+                    done.fire()
+                    return
+                # Wait for whichever side completes first.
+                next_stream = min(
+                    pending_streams, key=_available_at, default=None
+                )
+                next_event = min(pending_events, key=_eta, default=None)
+                if next_stream is not None and (
+                    next_event is None
+                    or next_stream.available_at <= _eta(next_event)
+                ):
+                    next_stream.when_synchronized(step)
+                    return
+
+                def event_done(_event: Future) -> None:
+                    pending_events.remove(next_event)
+                    # The loop test reuses this pass's stream list: when
+                    # the waited event was the last one and no stream
+                    # was busy, the fence ends without another poll.
+                    if pending_events or pending_streams:
+                        step()
+                    else:
+                        done.fire()
+
+                next_event.add_done_callback(event_done)
+
+            step()
+            done.wait()
         self._track_active()
         if self._h_fence is not None:
             self._h_fence.observe(self._device_label, iterations)
         if self.tracer is not None:
             self.tracer.emit("streams", "hybrid_fence", iterations=iterations)
         return iterations
+
+
+_available_at = operator.attrgetter("available_at")
+
+
+def _eta(event: Future) -> float:
+    return float("inf") if event.eta is None else event.eta

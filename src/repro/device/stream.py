@@ -106,6 +106,15 @@ class Stream:
         """True when all enqueued work has completed."""
         return self.available_at <= self.sim.now
 
+    def _sync_latency(self) -> float:
+        """One ``stream.sync`` fault draw: the injected latency, or 0."""
+        plan = self.faults
+        if plan is not None:
+            action = plan.draw("stream.sync", op=self.device_name)
+            if action is not None and action.latency > 0:
+                return action.latency
+        return 0.0
+
     def synchronize(self) -> None:
         """Block the calling task until the stream drains.
 
@@ -113,17 +122,36 @@ class Stream:
         extra latency here (a jittery driver-level sync, the paper's
         motivation for hybrid polling over eager synchronization).
         """
-        plan = self.faults
-        if plan is not None:
-            action = plan.draw(
-                "stream.sync", op=self.device_name
-            )
-            if action is not None and action.latency > 0:
-                self.sim.sleep(action.latency)
+        latency = self._sync_latency()
+        if latency:
+            self.sim.sleep(latency)
         if self._last_completion is not None and not self._last_completion.fired:
             self._last_completion.wait()
         elif self.available_at > self.sim.now:
             self.sim.sleep(self.available_at - self.sim.now)
+
+    def when_synchronized(self, fn: Callable[[], None]) -> None:
+        """Scheduler-side :meth:`synchronize`: run ``fn()`` at the
+        instant a blocking synchronize begun now would return — the
+        same fault draw and the same clock arithmetic, but no task
+        parks.  ``fn`` runs in scheduler context (or right away, when
+        the stream is already drained) and must not block.
+        """
+
+        def drained() -> None:
+            last = self._last_completion
+            if last is not None and not last.fired:
+                last.add_done_callback(lambda _done: fn())
+            elif self.available_at > self.sim.now:
+                self.sim.call_later(self.available_at - self.sim.now, fn)
+            else:
+                fn()
+
+        latency = self._sync_latency()
+        if latency:
+            self.sim.call_later(latency, drained)
+        else:
+            drained()
 
     def destroy(self) -> None:
         if self.destroyed:

@@ -119,7 +119,7 @@ class RetryingOp:
         token = self._token
         attempt = self._issue()
         # Expose the attempt's expected completion to hybrid polling.
-        self.future.eta = getattr(attempt, "eta", None)  # type: ignore[attr-defined]
+        self.future.eta = attempt.eta
         if self.policy.op_timeout is not None:
             self.sim.call_later(
                 self.policy.op_timeout, lambda: self._on_timeout(token, attempt)

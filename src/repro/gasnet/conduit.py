@@ -8,7 +8,8 @@ API shape follows GASNet-EX:
   does not participate; the conduit resolves the remote address against
   the target's registered segments,
 * operations return :class:`GasnetEvent` handles supporting ``test``
-  (non-blocking, used by DiOMP's hybrid polling loop) and ``wait``,
+  (non-blocking) and ``wait``; DiOMP's hybrid polling loop drains
+  their completion ``future``,
 * active messages carry small control payloads and run a registered
   handler on the target at delivery time (used for allocation
   coordination and OMPCCL UniqueID exchange).
@@ -95,6 +96,13 @@ class GasnetEvent:
     def __init__(self, future: Future) -> None:
         self._future = future
 
+    @property
+    def future(self) -> Future:
+        """The operation's completion future: fires with the transfer
+        record, or fails with the terminal error (what ``ompx_fence``
+        drains)."""
+        return self._future
+
     def test(self) -> bool:
         """Non-blocking completion probe.
 
@@ -115,12 +123,6 @@ class GasnetEvent:
     def failure(self) -> Optional[BaseException]:
         """The terminal error, if the operation failed unrecoverably."""
         return self._future.error
-
-    @property
-    def eta(self) -> Optional[float]:
-        """Expected completion time of the current attempt (hybrid
-        polling hint; None when unknown)."""
-        return getattr(self._future, "eta", None)
 
     @property
     def record(self) -> Optional[TransferRecord]:
@@ -554,7 +556,7 @@ class ConduitClient:
                     fault_site="conduit.am",
                     initiator=dst_rank,
                 )
-                attempt.eta = getattr(rep, "eta", None)  # type: ignore[attr-defined]
+                attempt.eta = rep.eta
                 rep.add_done_callback(propagate)
 
             req = world.transfer(
@@ -568,7 +570,7 @@ class ConduitClient:
                 fault_site="conduit.am",
                 initiator=self.rank,
             )
-            attempt.eta = getattr(req, "eta", None)  # type: ignore[attr-defined]
+            attempt.eta = req.eta
             req.add_done_callback(propagate)
             return attempt
 

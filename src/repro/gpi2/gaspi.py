@@ -148,14 +148,17 @@ class Gpi2Client(ConduitClient):
             )
         return self._notifications[notification_id]
 
-    def notify(self, dst_rank: int, notification_id: int, value: int = 1) -> None:
+    def notify(self, dst_rank: int, notification_id: int, value: int = 1) -> Future:
         """``gaspi_notify``: post a flag on the target rank.
 
-        Under a fault plan the notify is retried like any one-sided op
-        (``Notification.post`` is idempotent, so a duplicate delivery
-        from a rescued-then-completed attempt is harmless); exhausted
-        retries *fail the target's notification slot* so its waiter
-        observes the FatalError instead of deadlocking.
+        Returns the notify's completion on the initiator: it fires once
+        the flag is posted, or fails with the FatalError of exhausted
+        retries.  Under a fault plan the notify is retried like any
+        one-sided op (``Notification.post`` is idempotent, so a
+        duplicate delivery from a rescued-then-completed attempt is
+        harmless); exhausted retries also *fail the target's
+        notification slot* so its waiter observes the FatalError
+        instead of deadlocking.
         """
         world = self.conduit.world
         src_host = world.topology.host(world.ranks[self.rank].node)
@@ -187,6 +190,7 @@ class Gpi2Client(ConduitClient):
                 target.notification(notification_id).fail(done.error)
 
         fut.add_done_callback(surface)
+        return fut
 
 
 class Gpi2Conduit(Conduit):

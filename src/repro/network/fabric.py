@@ -116,7 +116,7 @@ class Fabric:
         ``fault_site``/``initiator`` key this transfer for it (site
         defaults to ``fabric.transfer``).  The returned future carries
         an ``eta`` attribute — the expected completion time — which the
-        hybrid fence uses to block on the earliest-completing event.
+        hybrid fence uses to wait on the earliest-completing event.
         """
         if nbytes < 0:
             raise CommunicationError(f"negative transfer size: {nbytes}")
@@ -191,7 +191,7 @@ class Fabric:
                 end=end,
             )
         fut = Future(self.sim, description=f"xfer {src}->{dst} {nbytes}B")
-        fut.eta = end  # type: ignore[attr-defined]
+        fut.eta = end
         if action is not None and action.is_failure:
             if action.kind == "drop":
                 # Lost entirely: no data arrival, no completion event.

@@ -8,7 +8,8 @@
     become ``ompx_alloc`` allocations, puts/gets go through the
     one-sided RMA path and complete at ``ompx_fence``, notifies use
     ``gaspi_notify`` natively on GPI-2 and an active message on
-    GASNet-EX, and ``plan.meta["pointer_prefetch"]`` (set by the
+    GASNet-EX (the next fence waits on either, so a failed notify
+    raises there), and ``plan.meta["pointer_prefetch"]`` (set by the
     prefetch pass) enables the runtime's bulk second-level-pointer
     prefetch.
 ``"mpi"``
@@ -221,9 +222,9 @@ class LoweredProgram:
 
         def run_op(op: PlanOp, step: int, steps: int) -> None:
             if op.kind == "fence":
-                for fut in state.am_futures:
+                for fut in state.notify_futures:
                     fut.wait()
-                state.am_futures.clear()
+                state.notify_futures.clear()
                 diomp.fence()
                 return
             if op.kind == "barrier":
@@ -256,13 +257,12 @@ class LoweredProgram:
             elif op.kind == "notify":
                 peer = op.peer.resolve(ctx.rank, ctx.nranks)
                 if self.backend == "gpi2":
-                    diomp.client.notify(peer, op.token)
+                    done = diomp.client.notify(peer, op.token)
                 else:
-                    state.am_futures.append(
-                        diomp.client.am_request(
-                            peer, "plan.notify", op.token, payload_bytes=8
-                        )
+                    done = diomp.client.am_request(
+                        peer, "plan.notify", op.token, payload_bytes=8
                     )
+                state.notify_futures.append(done)
             elif op.kind == "allreduce":
                 diomp.allreduce(
                     bufs.memref(op.coll.send, step),
@@ -424,7 +424,9 @@ class _RankState:
     def __init__(self) -> None:
         self.pending: Dict[str, Any] = {}
         self.requests: List[Any] = []
-        self.am_futures: List[Any] = []
+        #: completions of notifies since the last fence, which waits
+        #: on them (GPI-2 notifies and GASNet-EX active messages)
+        self.notify_futures: List[Any] = []
         self.aux_stream: Optional[Any] = None
 
 

@@ -36,6 +36,10 @@ class Future:
     reach the conduit retry layer and, ultimately, ``ompx_fence``).
     """
 
+    #: expected completion time, when the producer knows it (the fabric
+    #: sets it on transfer completions): the hybrid polling hint
+    eta: Optional[float] = None
+
     def __init__(self, sim: Simulator, description: str = "future") -> None:
         self.sim = sim
         self.description = description

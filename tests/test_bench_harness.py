@@ -57,6 +57,14 @@ class TestMicrobench:
         m = microbench.mpi_p2p(platform_a(with_quirk=False), "put", sizes, reps=2)
         assert d[0][1] < m[0][1]
 
+    def test_fence_parks_once_per_call(self):
+        """Every fence of the seeded put/get mix has work pending and
+        parks its task exactly once (the regress gate's figure)."""
+        for seed in (1, 7):
+            assert microbench.fence_parks_per_call(
+                platform_a(with_quirk=False), seed=seed
+            ) == 1.0
+
     def test_bad_op_rejected(self):
         with pytest.raises(ConfigurationError):
             microbench.diomp_p2p(platform_a(), "send", [64])

@@ -162,6 +162,20 @@ class TestBoundedConcurrency:
             StreamPoolParams(partial_sync_fraction=0.0)
 
 
+class _RecordingFuture(Future):
+    """A completion future that records when a fence starts waiting
+    on it (the fence waits through a done-callback)."""
+
+    def __init__(self, sim, name, order):
+        super().__init__(sim, description=name)
+        self.name = name
+        self.order = order
+
+    def add_done_callback(self, fn):
+        self.order.append(self.name)
+        super().add_done_callback(fn)
+
+
 class TestHybridFence:
     def test_fence_waits_streams_and_events(self):
         sim, pool = make_pool()
@@ -172,15 +186,7 @@ class TestHybridFence:
             s.enqueue(2e-3)
             ev_future = Future(sim, description="net")
             sim.call_later(5e-3, ev_future.fire)
-
-            class Event:
-                def test(self):
-                    return ev_future.poll()
-
-                def wait(self):
-                    return ev_future.wait()
-
-            pool.hybrid_fence([Event()])
+            pool.hybrid_fence([ev_future])
             done["t"] = sim.now
 
         sim.spawn(prog)
@@ -209,28 +215,15 @@ class TestHybridFence:
         order = []
         out = {}
 
-        class Event:
-            def __init__(self, fut, name):
-                self.fut = fut
-                self.name = name
-                self.eta = fut.eta
-
-            def test(self):
-                return self.fut.poll()
-
-            def wait(self):
-                order.append(self.name)
-                return self.fut.wait()
-
         def prog():
-            late = Future(sim, description="late")
+            late = _RecordingFuture(sim, "late", order)
             late.eta = 5e-3
-            early = Future(sim, description="early")
+            early = _RecordingFuture(sim, "early", order)
             early.eta = 1e-3
             sim.call_later(5e-3, late.fire)
             sim.call_later(1e-3, early.fire)
             # Deliberately list the late event first.
-            out["iters"] = pool.hybrid_fence([Event(late, "late"), Event(early, "early")])
+            out["iters"] = pool.hybrid_fence([late, early])
             out["t"] = sim.now
 
         sim.spawn(prog)
@@ -245,30 +238,48 @@ class TestHybridFence:
         sim, pool = make_pool()
         out = {}
 
-        class Event:
-            def __init__(self, fut):
-                self.fut = fut
-                self.eta = fut.eta
-
-            def test(self):
-                return self.fut.poll()
-
-            def wait(self):
-                return self.fut.wait()
-
         def prog():
             s = pool.acquire()
             s.enqueue(1e-4)  # completes well before the event
             fut = Future(sim, description="net")
             fut.eta = 5e-3
             sim.call_later(5e-3, fut.fire)
-            out["iters"] = pool.hybrid_fence([Event(fut)])
+            out["iters"] = pool.hybrid_fence([fut])
             out["t"] = sim.now
 
         sim.spawn(prog)
         sim.run()
         assert out["iters"] == 2  # stream first, then the one event
         assert out["t"] >= 5e-3
+
+    def test_fence_parks_once(self):
+        """However many poll steps and waits the loop takes, the
+        calling task parks at most once per hybrid_fence call."""
+        sim, pool = make_pool()
+        out = {}
+
+        def prog():
+            for i in range(3):
+                pool.acquire().enqueue((i + 1) * 1e-4)
+            events = []
+            for i in range(4):
+                fut = Future(sim, description=f"net{i}")
+                fut.eta = (i + 1) * 2e-4
+                sim.call_later(fut.eta, fut.fire)
+                events.append(fut)
+            before = sim.parks
+            out["iters"] = pool.hybrid_fence(events)
+            out["parks"] = sim.parks - before
+            before = sim.parks
+            out["idle_iters"] = pool.hybrid_fence([])
+            out["idle_parks"] = sim.parks - before
+
+        sim.spawn(prog)
+        sim.run()
+        assert out["iters"] > 1
+        assert out["parks"] == 1
+        assert out["idle_iters"] == 0
+        assert out["idle_parks"] == 0
 
     def test_fence_iterations_traced(self):
         sim, pool = make_pool()

@@ -6,12 +6,12 @@ import pytest
 
 from repro.apps import CannonConfig, cannon_reference, run_cannon
 from repro.cluster import MemRef, SpmdConfig, World, run_spmd
-from repro.core import DiompRuntime
+from repro.core import DiompRuntime, StreamPoolParams
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.gasnet import GasnetConduit, GasnetParams
 from repro.hardware import platform_a, platform_c
 from repro.util.errors import FatalError
-from repro.util.units import KiB
+from repro.util.units import KiB, MiB
 
 
 def two_rank_world(**kw):
@@ -195,6 +195,79 @@ class TestUnrecoverable:
         with pytest.raises(FatalError):
             run_spmd(w, prog, config=SpmdConfig(faults=plan))
         assert w.obs.value("conduit.retries") == 0
+
+    def test_fence_drains_everything_before_raising(self):
+        """A failed operation is a terminal state, not an early exit:
+        the fence still drains the large put issued after it, then
+        raises one aggregated FatalError for the epoch."""
+        w = two_rank_world()
+        DiompRuntime(w)
+        plan = FaultPlan(
+            [FaultSpec(site="conduit.put", kind="transient", fatal=True, nth=1)]
+        )
+        out = {}
+
+        def prog(ctx):
+            small = ctx.diomp.alloc(8)
+            big = ctx.diomp.alloc(1 * MiB)
+            ctx.diomp.barrier()
+            if ctx.rank == 0:
+                t0 = ctx.sim.now
+                ctx.diomp.put(1, small, small.memref())
+                src = np.full(1 * MiB, 7, dtype=np.uint8)
+                ctx.diomp.put(1, big, MemRef.host(ctx.node, src))
+                lands = ctx.diomp.rma._outstanding[-1].future
+                try:
+                    ctx.diomp.fence()
+                except FatalError as exc:
+                    out["error"] = exc
+                out["fence_s"] = ctx.sim.now - t0
+                out["big_landed"] = lands.fired and lands.error is None
+                out["big_eta_s"] = lands.eta - t0
+                out["pending"] = ctx.diomp.rma.pending_ops
+            ctx.diomp.barrier()
+            if ctx.rank == 1:
+                out["data"] = big.typed(np.uint8).copy()
+
+        run_spmd(w, prog, config=SpmdConfig(faults=plan))
+        assert "ompx_fence: 1 unrecoverable operation(s)" in str(out["error"])
+        assert out["big_landed"]
+        assert out["fence_s"] >= out["big_eta_s"] > 20e-6
+        assert out["pending"] == 0
+        np.testing.assert_array_equal(out["data"], np.full(1 * MiB, 7, np.uint8))
+
+    def test_stream_sync_fault_delays_fence(self):
+        """The fence's stream synchronization draws the stream.sync
+        site: one injected latency holds the fence for that latency
+        (the intra-node copy drains meanwhile), then one more poll."""
+        lat = 2e-3
+
+        def fence_time(plan):
+            w = World(platform_a(with_quirk=False), num_nodes=1, faults=plan)
+            DiompRuntime(w)
+            out = {}
+
+            def prog(ctx):
+                g = ctx.diomp.alloc(64 * KiB)
+                ctx.diomp.barrier()
+                if ctx.rank == 0:
+                    ctx.diomp.put(1, g, g.memref())
+                    t0 = ctx.sim.now
+                    ctx.diomp.fence()
+                    out["fence_s"] = ctx.sim.now - t0
+
+            run_spmd(w, prog)
+            return out["fence_s"]
+
+        plan = FaultPlan(
+            [FaultSpec(site="stream.sync", kind="latency", latency=lat, nth=1)]
+        )
+        base = fence_time(None)
+        delayed = fence_time(plan)
+        poll_cost = StreamPoolParams().poll_cost
+        assert plan.injected == 1
+        assert base < lat
+        assert delayed == pytest.approx(poll_cost + lat + poll_cost, rel=1e-12)
 
     def test_gpi2_notify_failure_surfaces_to_waiter(self):
         """Exhausted notify retries fail the target's notification slot

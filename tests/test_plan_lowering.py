@@ -14,6 +14,7 @@ from repro.apps.cannon import CannonConfig, run_cannon
 from repro.apps.minimod import MinimodConfig, run_minimod
 from repro.cluster import World
 from repro.core.runtime import DiompParams, DiompRuntime
+from repro.faults import FaultPlan, FaultSpec
 from repro.hardware import platform_a, platform_c
 from repro.plan import (
     Access,
@@ -29,7 +30,7 @@ from repro.plan import (
     run_cannon_plan,
     run_minimod_plan,
 )
-from repro.util.errors import ConfigurationError, PlanVerificationError
+from repro.util.errors import ConfigurationError, FatalError, PlanVerificationError
 
 CANNON = CannonConfig(n=32, execute=True)
 MINIMOD = MinimodConfig(nx=48, ny=8, nz=8, steps=5, execute=True)
@@ -259,6 +260,14 @@ class TestSyntheticLowering:
         world = ib_world() if backend == "gpi2" else gasnet_world()
         result = lower_plan(self.notify_plan(), backend, world.nranks).run(world)
         assert all(r["elapsed"] >= 0.0 for r in result.results)
+
+    def test_gpi2_notify_failure_raises_at_fence(self):
+        """A GPI-2 notify that exhausts its retries is waited on at the
+        next fence and raises there, like the GASNet-EX AM path."""
+        plan = FaultPlan([FaultSpec(site="conduit.notify", kind="transient")])
+        world = World(platform_c(), num_nodes=2, faults=plan)
+        with pytest.raises(FatalError, match="giving up"):
+            lower_plan(self.notify_plan(), "gpi2", world.nranks).run(world)
 
     def test_prefetch_roundtrip(self):
         nbytes = 256
