@@ -79,14 +79,18 @@ class CannonConfig:
 
 
 def _init_stripe(cfg: CannonConfig, rank: int, nranks: int, which: str) -> np.ndarray:
-    """Deterministic test matrices: A[i, j] = i - j, B[i, j] = i + j
-    (small integers — exact in float64)."""
+    """Rank ``rank``'s row stripe of the deterministic test matrices
+    ``A[i, j] = (i - j) mod 7`` and ``B[i, j] = (i + j) mod 5``.
+
+    The residues are taken in integers and then converted: small
+    non-negative integers, exact in any float dtype and equal to the
+    float ``%`` of the same formula, at a fraction of its cost."""
     ns = cfg.stripe(nranks)
-    rows = np.arange(rank * ns, (rank + 1) * ns, dtype=cfg.dtype)[:, None]
-    cols = np.arange(cfg.n, dtype=cfg.dtype)[None, :]
+    rows = np.arange(rank * ns, (rank + 1) * ns)[:, None]
+    cols = np.arange(cfg.n)[None, :]
     if which == "A":
-        return (rows - cols) % 7
-    return (rows + cols) % 5
+        return ((rows - cols) % 7).astype(cfg.dtype)
+    return ((rows + cols) % 5).astype(cfg.dtype)
 
 
 def cannon_reference(cfg: CannonConfig, nranks: int) -> np.ndarray:

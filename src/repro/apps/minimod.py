@@ -56,6 +56,13 @@ class MinimodConfig:
     courant2: float = 0.1
     dtype: type = np.float32
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.radius < len(_COEFFS):
+            raise ConfigurationError(
+                f"radius={self.radius} must be in 1..{len(_COEFFS) - 1}: "
+                f"the stencil has coefficients up to radius {len(_COEFFS) - 1}"
+            )
+
     @property
     def itemsize(self) -> int:
         return np.dtype(self.dtype).itemsize
@@ -79,11 +86,85 @@ class MinimodConfig:
         return self.radius * self.plane_elems * self.itemsize
 
 
-def _initial_field(cfg: MinimodConfig) -> np.ndarray:
-    """A deterministic point-source-like initial condition."""
-    u = np.zeros((cfg.nx, cfg.ny, cfg.nz), dtype=cfg.dtype)
-    u[cfg.nx // 2, cfg.ny // 2, cfg.nz // 2] = 1.0
+def _initial_slab(cfg: MinimodConfig, rank: int, nranks: int) -> np.ndarray:
+    """Rank ``rank``'s core planes of the deterministic point-source
+    initial field; only those planes are built."""
+    lnx = cfg.local_nx(nranks)
+    x0 = rank * lnx
+    u = np.zeros((lnx, cfg.ny, cfg.nz), dtype=cfg.dtype)
+    if x0 <= cfg.nx // 2 < x0 + lnx:
+        u[cfg.nx // 2 - x0, cfg.ny // 2, cfg.nz // 2] = 1.0
     return u
+
+
+#: Elements per x block of the stencil (8 planes of 64 x 64).  A block's
+#: accumulator, product, pair and bordered buffers then fit in a core's
+#: L2 cache instead of streaming whole-slab temporaries through memory.
+_BLOCK_ELEMS = 32 * 1024
+
+
+def _laplacian_blocks(u: np.ndarray, r: int, lo: int, hi: int):
+    """Yield ``(b_lo, b_hi, lap)``: the Laplacian of core planes
+    ``[lo, hi)`` of the x-padded ``u``, one x block at a time.
+
+    A block spans ``_BLOCK_ELEMS // (ny * nz)`` planes (at least one).
+    ``lap`` is a view of a buffer reused by the next block, so a caller
+    consumes it before advancing.  Block ``[b_lo, b_hi)`` reads padded
+    planes ``[b_lo, b_hi + 2r)`` of ``u`` only, so the whole range
+    reads ``[lo, hi + 2r)``; y/z use zero boundaries (the array edges).
+
+    Every element is accumulated in the order of the plain formulation
+    ``((3 c0) u + c1 (x pair)) + c1 (y pair) + ...``, so the result is
+    bit-identical for any slice and any block height.  Buffer dtypes
+    follow ``np.result_type`` promotion of the float64 coefficients
+    with the field: float64 for a float32 field under NumPy 2, float32
+    under NumPy 1's value-based casting.
+    """
+    ny, nz = u.shape[1:]
+    nb = max(1, min(hi - lo, _BLOCK_ELEMS // (ny * nz)))
+    zrow = nz + 2 * r
+    c0 = 3.0 * _COEFFS[0]
+    lap_buf = np.empty((nb, ny, nz), dtype=np.result_type(c0, u))
+    # One store for the pairs: (m, ny, nz) for x and y, (m, ny, zrow) for z.
+    pair_mem = np.empty(nb * ny * zrow, dtype=u.dtype)
+    prod_buf = np.empty((nb, ny, nz), dtype=np.result_type(_COEFFS[1], pair_mem))
+    # The block inside a zero border of r on y (resp. z): a neighbour
+    # past the array edge reads +0, so an edge element's pair is
+    # ``x + 0`` and a pair with no neighbour on either side is ``0 + 0``.
+    # Bordering one axis at a time keeps every shifted read contiguous
+    # along the rows (y) or along the flattened block (z).
+    ybord_buf = np.zeros((nb, ny + 2 * r, nz), dtype=u.dtype)
+    zbord_buf = np.zeros((nb, ny, zrow), dtype=u.dtype)
+    for b_lo in range(lo, hi, nb):
+        b_hi = min(b_lo + nb, hi)
+        m = b_hi - b_lo
+        lap, prod, ybord, zbord = lap_buf[:m], prod_buf[:m], ybord_buf[:m], zbord_buf[:m]
+        pair = pair_mem[: m * ny * nz].reshape(m, ny, nz)
+        zpair_flat = pair_mem[: m * ny * zrow]
+        zflat = zbord.reshape(-1)
+
+        def accumulate(coeff, pair: np.ndarray) -> None:
+            # Widening the pair is exact, so multiplying the widened
+            # copy is the mixed-dtype product, without the buffered
+            # cast inside a mixed-dtype ufunc call.
+            prod[...] = pair
+            np.multiply(prod, coeff, out=prod)
+            np.add(lap, prod, out=lap)
+
+        core = u[r + b_lo : r + b_hi]
+        np.multiply(c0, core, out=lap)
+        ybord[:, r : r + ny] = core
+        zbord[:, :, r : r + nz] = core
+        for d in range(1, r + 1):
+            np.add(u[r + b_lo + d : r + b_hi + d], u[r + b_lo - d : r + b_hi - d], out=pair)
+            accumulate(_COEFFS[d], pair)
+            np.add(ybord[:, r + d : r + d + ny], ybord[:, r - d : r - d + ny], out=pair)
+            accumulate(_COEFFS[d], pair)
+            # z pairs over the flattened block: a core column's
+            # neighbours at +-d <= r stay inside its own bordered row.
+            np.add(zflat[2 * d :], zflat[: -2 * d], out=zpair_flat[d:-d])
+            accumulate(_COEFFS[d], zpair_flat.reshape(m, ny, zrow)[:, :, r : r + nz])
+        yield b_lo, b_hi, lap
 
 
 def _laplacian(u: np.ndarray, radius: int, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
@@ -92,48 +173,23 @@ def _laplacian(u: np.ndarray, radius: int, lo: int = 0, hi: Optional[int] = None
     ``u`` is padded by ``radius`` on the x axis only (halo planes), so
     core plane ``i`` is ``u[radius + i]``; ``hi`` defaults to the last
     core plane.  Only padded planes ``[lo, hi + 2 * radius)`` are read.
-    y/z use zero boundaries (the array edges), matching the reference.
-
-    Every element is accumulated in the same order as the plain
-    formulation ``((3 c0) u + c1 (x pair)) + c1 (y pair) + ...``, so
-    the result is bit-identical for any slice.  The float64
-    coefficients promote the products (NumPy 2), so the result is
-    float64 for a float32 field; buffer dtypes follow the same
-    promotion rather than being fixed here.
+    The result is assembled from :func:`_laplacian_blocks`, so it is
+    byte-identical to what the kernels consume block by block.
     """
-    r = radius
     if hi is None:
-        hi = u.shape[0] - 2 * r
-    core = u[r + lo : r + hi]
-    ny, nz = core.shape[1:]
-    lap = 3.0 * _COEFFS[0] * core
-    # The core inside a zero border of r on y and z: a neighbour past
-    # the array edge reads +0, so an edge element's pair is ``x + 0``
-    # and a pair with no neighbour on either side is ``0 + 0``.
-    bordered = np.zeros((hi - lo, ny + 2 * r, nz + 2 * r), dtype=core.dtype)
-
-    def shifted(dy: int, dz: int) -> np.ndarray:
-        return bordered[:, r + dy : r + dy + ny, r + dz : r + dz + nz]
-
-    shifted(0, 0)[...] = core
-    pair = np.empty_like(core)
-    prod = np.empty(core.shape, dtype=np.result_type(_COEFFS[1], pair))
-    for d in range(1, r + 1):
-        neighbours = (
-            (u[r + lo + d : r + hi + d], u[r + lo - d : r + hi - d]),
-            (shifted(d, 0), shifted(-d, 0)),
-            (shifted(0, d), shifted(0, -d)),
-        )
-        for plus, minus in neighbours:
-            np.add(plus, minus, out=pair)
-            np.add(lap, np.multiply(_COEFFS[d], pair, out=prod), out=lap)
-    return lap
+        hi = u.shape[0] - 2 * radius
+    out = np.empty(
+        (hi - lo,) + u.shape[1:], dtype=np.result_type(3.0 * _COEFFS[0], u)
+    )
+    for b_lo, b_hi, lap in _laplacian_blocks(u, radius, lo, hi):
+        out[b_lo - lo : b_hi - lo] = lap
+    return out
 
 
 def minimod_reference(cfg: MinimodConfig) -> np.ndarray:
     """Single-domain reference propagation (test oracle)."""
     r = cfg.radius
-    u = _initial_field(cfg)
+    u = _initial_slab(cfg, 0, 1)
     u_prev = u.copy()
     for _ in range(cfg.steps):
         padded = np.zeros((cfg.nx + 2 * r, cfg.ny, cfg.nz), dtype=cfg.dtype)
@@ -143,18 +199,53 @@ def minimod_reference(cfg: MinimodConfig) -> np.ndarray:
     return u
 
 
+def _advance(
+    cfg: MinimodConfig,
+    u_pad: np.ndarray,
+    u_prev_pad: np.ndarray,
+    lo: int,
+    hi: int,
+    out: np.ndarray,
+) -> None:
+    """Write the next time level of core planes ``[lo, hi)`` into
+    ``out`` (``hi - lo`` planes), one x block at a time.
+
+    Per block this is ``2 u - u_prev + courant2 * lap(u)`` in the plain
+    expression's order and promotion, rounded once to ``cfg.dtype``.
+    Block ``[b_lo, b_hi)`` reads ``u_pad`` planes ``[b_lo, b_hi + 2r)``
+    and ``u_prev_pad`` planes ``[b_lo + r, b_hi + r)``, then writes its
+    planes of ``out``; ``out`` may therefore alias ``u_prev_pad``'s core
+    planes ``[lo, hi)`` but no plane of ``u_pad``.
+    """
+    r = cfg.radius
+    two_u = None
+    for b_lo, b_hi, lap in _laplacian_blocks(u_pad, r, lo, hi):
+        cur = u_pad[r + b_lo : r + b_hi]
+        prev = u_prev_pad[r + b_lo : r + b_hi]
+        if two_u is None:
+            two_u = np.empty(lap.shape, dtype=np.result_type(2.0, cur))
+        t = two_u[: b_hi - b_lo]
+        np.multiply(2.0, cur, out=t)
+        np.subtract(t, prev, out=t)
+        np.multiply(cfg.courant2, lap, out=lap)
+        np.add(t, lap, out=lap)
+        out[b_lo - lo : b_hi - lo] = lap
+
+
 def _stencil_kernel(cfg: MinimodConfig, lnx: int) -> Kernel:
     """One time step over the local slab (padded field layout:
-    (lnx + 2r, ny, nz), x-major so halo planes are contiguous)."""
+    (lnx + 2r, ny, nz), x-major so halo planes are contiguous).
+
+    Block k+1's Laplacian reads the last r planes of block k, so the
+    whole slab's next level goes to a scratch slab first; only then are
+    the time levels rotated in place: prev <- cur, cur <- next."""
     r = cfg.radius
 
     def host_fn(u_pad: np.ndarray, u_prev_pad: np.ndarray) -> None:
-        core = u_pad[r:-r]
-        prev_core = u_prev_pad[r:-r]
-        u_next = 2.0 * core - prev_core + cfg.courant2 * _laplacian(u_pad, r)
-        # Time-level rotation: prev <- cur, cur <- next (in place).
-        prev_core[:] = core
-        core[:] = u_next.astype(cfg.dtype)
+        u_next = np.empty((lnx, cfg.ny, cfg.nz), dtype=cfg.dtype)
+        _advance(cfg, u_pad, u_prev_pad, 0, lnx, u_next)
+        u_prev_pad[r:-r] = u_pad[r:-r]
+        u_pad[r:-r] = u_next
 
     return Kernel(
         name="minimod-stencil",
@@ -177,12 +268,13 @@ def _plane_offset(cfg: MinimodConfig, plane: int) -> int:
     return plane * cfg.plane_elems * cfg.itemsize
 
 
-def _load_initial(cfg: MinimodConfig, rank: int, nranks: int, u_buf, dtype) -> None:
+def _load_initial(cfg: MinimodConfig, rank: int, nranks: int, *bufs) -> None:
+    """Write the rank's initial slab into the core planes of each buffer."""
     lnx = cfg.local_nx(nranks)
     r = cfg.radius
-    full = _initial_field(cfg)
-    view = u_buf_view(cfg, u_buf, lnx)
-    view[r : r + lnx] = full[rank * lnx : (rank + 1) * lnx]
+    slab = _initial_slab(cfg, rank, nranks)
+    for buf in bufs:
+        u_buf_view(cfg, buf, lnx)[r : r + lnx] = slab
 
 
 def u_buf_view(cfg: MinimodConfig, buf, lnx: int) -> np.ndarray:
@@ -213,8 +305,7 @@ def minimod_diomp(ctx: RankContext, cfg: MinimodConfig) -> Dict[str, object]:
     u = diomp.alloc(_field_bytes(cfg, lnx), virtual=virtual)
     u_prev = diomp.alloc(_field_bytes(cfg, lnx), virtual=virtual)
     if cfg.execute:
-        _load_initial(cfg, ctx.rank, p, u.local, cfg.dtype)
-        _load_initial(cfg, ctx.rank, p, u_prev.local, cfg.dtype)
+        _load_initial(cfg, ctx.rank, p, u.local, u_prev.local)
     kernel = _stencil_kernel(cfg, lnx)
     halo = cfg.halo_bytes()
     diomp.barrier()
@@ -265,15 +356,12 @@ def _leapfrog_kernel(cfg: MinimodConfig, lo: int, hi: int) -> Kernel:
     ``u_pad`` planes ``[lo, hi + 2r)`` and ``u_prev_pad`` planes
     ``[lo + r, hi + r)``, and writes the latter — exactly the access
     set :func:`repro.plan.apps.minimod_plan` declares.  The update is
-    accumulated in the Laplacian's promoted dtype (float64 for a
-    float32 field under NumPy 2) and rounded once to ``cfg.dtype``."""
+    :func:`_advance`, written block by block straight into ``u_prev``:
+    no block reads another block's ``u_prev`` planes."""
 
     def host_fn(u_pad: np.ndarray, u_prev_pad: np.ndarray) -> None:
         r = cfg.radius
-        cur = u_pad[r + lo : r + hi]
-        prev = u_prev_pad[r + lo : r + hi]
-        lap = _laplacian(u_pad, r, lo, hi)
-        prev[:] = (2.0 * cur - prev + cfg.courant2 * lap).astype(cfg.dtype)
+        _advance(cfg, u_pad, u_prev_pad, lo, hi, u_prev_pad[r + lo : r + hi])
 
     return Kernel(
         name=f"minimod-leapfrog[{lo}:{hi}]",
@@ -305,8 +393,7 @@ def minimod_diomp_overlap(ctx: RankContext, cfg: MinimodConfig) -> Dict[str, obj
         diomp.alloc(_field_bytes(cfg, lnx), virtual=virtual),
     ]
     if cfg.execute:
-        _load_initial(cfg, ctx.rank, p, bufs[0].local, cfg.dtype)
-        _load_initial(cfg, ctx.rank, p, bufs[1].local, cfg.dtype)
+        _load_initial(cfg, ctx.rank, p, bufs[0].local, bufs[1].local)
     # A slab of exactly 2r planes is all boundary: no interior kernel.
     has_interior = lnx > 2 * r
     interior = _leapfrog_kernel(cfg, r, lnx - r) if has_interior else None
@@ -379,8 +466,7 @@ def minimod_mpi(ctx: RankContext, cfg: MinimodConfig, mpi: MpiWorld) -> Dict[str
     u = rt.omp_target_alloc(_field_bytes(cfg, lnx), virtual=virtual)
     u_prev = rt.omp_target_alloc(_field_bytes(cfg, lnx), virtual=virtual)
     if cfg.execute:
-        _load_initial(cfg, ctx.rank, p, u, cfg.dtype)
-        _load_initial(cfg, ctx.rank, p, u_prev, cfg.dtype)
+        _load_initial(cfg, ctx.rank, p, u, u_prev)
     kernel = _stencil_kernel(cfg, lnx)
     halo = cfg.halo_bytes()
     mpi_coll.barrier(comm)

@@ -25,7 +25,7 @@ naive plan path match bitwise.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from repro.apps.minimod import (
     MinimodConfig,
     _field_shape,
     _field_bytes,
-    _initial_field,
+    _initial_slab,
     _leapfrog_kernel,
     _plane_offset,
 )
@@ -180,10 +180,10 @@ def minimod_plan(cfg: MinimodConfig, nranks: int) -> CommPlan:
         kernels = (compute("full-slab", 0, lnx),)
 
     def init_fn(ctx, bufs):
-        full = _initial_field(cfg)
+        slab = _initial_slab(cfg, ctx.rank, p)
         for rot in (0, 1):
             view = bufs.array("U", cfg.dtype, rot=rot, step=0).reshape(shape)
-            view[r : r + lnx] = full[ctx.rank * lnx : (ctx.rank + 1) * lnx]
+            view[r : r + lnx] = slab
 
     def finish_fn(ctx, bufs, elapsed) -> Dict[str, object]:
         out: Dict[str, object] = {"elapsed": elapsed, "rank": ctx.rank}

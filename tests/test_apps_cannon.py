@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import CannonConfig, cannon_reference, run_cannon
+from repro.apps.cannon import _init_stripe
 from repro.cluster import World
 from repro.hardware import platform_a, platform_b
 from repro.util.errors import ConfigurationError
@@ -50,6 +51,29 @@ class TestCorrectness:
         w = World(platform_a(with_quirk=False), num_nodes=1)
         with pytest.raises(ConfigurationError, match="implementation"):
             run_cannon(w, CannonConfig(n=32), impl="nccl")
+
+
+def float_stripe(cfg, rank, nranks, which):
+    """The stripe formula evaluated in the matrix dtype, as first written."""
+    ns = cfg.stripe(nranks)
+    rows = np.arange(rank * ns, (rank + 1) * ns, dtype=cfg.dtype)[:, None]
+    cols = np.arange(cfg.n, dtype=cfg.dtype)[None, :]
+    if which == "A":
+        return (rows - cols) % 7
+    return (rows + cols) % 5
+
+
+class TestStripes:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [24, 1008, 1024, 1040])
+    def test_integer_residues_match_the_float_formula(self, n, dtype):
+        cfg = CannonConfig(n=n, dtype=dtype)
+        for rank in range(8):
+            for which in ("A", "B"):
+                got = _init_stripe(cfg, rank, 8, which)
+                want = float_stripe(cfg, rank, 8, which)
+                assert got.dtype == want.dtype == np.dtype(dtype)
+                assert got.tobytes() == want.tobytes(), (rank, which)
 
 
 class TestTiming:

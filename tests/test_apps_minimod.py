@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import MinimodConfig, minimod_reference, run_minimod
+from repro.apps.minimod import _initial_slab
 from repro.cluster import World
 from repro.hardware import platform_a, platform_c
 from repro.util.errors import ConfigurationError
@@ -62,6 +63,28 @@ class TestCorrectness:
         w = World(platform_a(with_quirk=False), num_nodes=1)
         with pytest.raises(ConfigurationError, match="radius"):
             run_minimod(w, cfg)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("radius", [0, 5])
+    def test_radius_outside_the_coefficients_rejected(self, radius):
+        with pytest.raises(ConfigurationError, match="radius"):
+            MinimodConfig(nx=16, ny=8, nz=8, steps=1, radius=radius)
+
+    @pytest.mark.parametrize("radius", [1, 4])
+    def test_radius_bounds_accepted(self, radius):
+        assert MinimodConfig(nx=16, ny=8, nz=8, steps=1, radius=radius).radius == radius
+
+
+class TestInitialSlab:
+    @pytest.mark.parametrize("nx,nranks", [(16, 4), (48, 8), (40, 8), (8, 1)])
+    def test_slabs_tile_the_initial_field(self, nx, nranks):
+        cfg = MinimodConfig(nx=nx, ny=6, nz=7, steps=0)
+        field = np.zeros((nx, 6, 7), dtype=cfg.dtype)
+        field[nx // 2, 3, 3] = 1.0
+        slabs = [_initial_slab(cfg, rank, nranks) for rank in range(nranks)]
+        assert all(s.shape == (nx // nranks, 6, 7) and s.dtype == cfg.dtype for s in slabs)
+        assert np.concatenate(slabs).tobytes() == field.tobytes()
 
 
 class TestTiming:
