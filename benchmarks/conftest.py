@@ -7,8 +7,6 @@ paper's terms and asserts shape properties on.  Run with ``-s`` to see
 the reproduced tables.
 """
 
-import pytest
-
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Execute ``fn`` once under pytest-benchmark and return its result."""

@@ -100,16 +100,5 @@ class DiompGroup:
         gr = self.group_rank(world_rank)
         return list(range(gr * per_rank, (gr + 1) * per_rank))
 
-    def merged_with(
-        self,
-        other: "DiompGroup",
-        devices_by_rank: dict,
-        group_id: Optional[int] = None,
-    ) -> "DiompGroup":
-        """Union of two groups (this group's order first), as the
-        paper's *group recomposition*."""
-        combined = list(self.ranks) + [r for r in other.ranks if r not in self.ranks]
-        return DiompGroup.create(combined, devices_by_rank, group_id=group_id)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<DiompGroup {self.group_id} ranks={self.ranks}>"

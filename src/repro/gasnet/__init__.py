@@ -16,10 +16,10 @@ GASNet-vs-GPI-2 comparison of Fig. 5 is modelled.
 from repro.gasnet.conduit import (
     Conduit,
     ConduitClient,
+    ConduitEvent,
     ConduitParams,
     GasnetConduit,
     GasnetClient,
-    GasnetEvent,
     GasnetParams,
     Segment,
 )
@@ -27,10 +27,10 @@ from repro.gasnet.conduit import (
 __all__ = [
     "Conduit",
     "ConduitClient",
+    "ConduitEvent",
     "ConduitParams",
     "GasnetConduit",
     "GasnetClient",
-    "GasnetEvent",
     "GasnetParams",
     "Segment",
 ]

@@ -7,7 +7,7 @@ API shape follows GASNet-EX:
 * ``put_nb`` / ``get_nb`` are fully one-sided — the target rank's CPU
   does not participate; the conduit resolves the remote address against
   the target's registered segments,
-* operations return :class:`GasnetEvent` handles supporting ``test``
+* operations return :class:`ConduitEvent` handles supporting ``test``
   (non-blocking) and ``wait``; DiOMP's hybrid polling loop drains
   their completion ``future``,
 * active messages carry small control payloads and run a registered
@@ -90,8 +90,9 @@ class GasnetParams(ConduitParams):
     bw_efficiency_large: float = 0.95
 
 
-class GasnetEvent:
-    """A non-blocking operation handle (``gex_Event_t``)."""
+class ConduitEvent:
+    """A non-blocking operation handle of either conduit (GASNet-EX's
+    ``gex_Event_t``, a posted GPI-2 write or read)."""
 
     def __init__(self, future: Future) -> None:
         self._future = future
@@ -223,7 +224,7 @@ class ConduitClient:
         self._am_handlers: Dict[str, Callable[[int, Any], Any]] = {}
         #: per queue, the ops still in flight plus the failed ones no
         #: flush has reported yet (GASNet-EX is the one-queue case)
-        self._queues: List[List[GasnetEvent]] = [[]]
+        self._queues: List[List[ConduitEvent]] = [[]]
         # -- metrics (message counts/bytes by size class; repro.obs) --
         obs = conduit.world.obs
         self._m_msgs = obs.counter(
@@ -347,17 +348,17 @@ class ConduitClient:
             description=f"{self.conduit_name}-{op}-r{self.rank}",
         ).future
 
-    def put_nb(self, dst_rank: int, dst_address: int, src: MemRef) -> GasnetEvent:
+    def put_nb(self, dst_rank: int, dst_address: int, src: MemRef) -> ConduitEvent:
         """Non-blocking one-sided put of ``src`` to a remote address."""
         return self._batch_nb("put", dst_rank, ((dst_address, src),))
 
-    def get_nb(self, src_rank: int, src_address: int, dst: MemRef) -> GasnetEvent:
+    def get_nb(self, src_rank: int, src_address: int, dst: MemRef) -> ConduitEvent:
         """Non-blocking one-sided get from a remote address into ``dst``."""
         return self._batch_nb("get", src_rank, ((src_address, dst),))
 
     def put_batch_nb(
         self, dst_rank: int, ops: Sequence[Tuple[int, MemRef]]
-    ) -> GasnetEvent:
+    ) -> ConduitEvent:
         """Aggregated one-sided puts (GASNet-EX access-region batching).
 
         ``ops`` is a sequence of ``(dst_address, src_memref)`` pairs
@@ -372,7 +373,7 @@ class ConduitClient:
 
     def get_batch_nb(
         self, src_rank: int, ops: Sequence[Tuple[int, MemRef]]
-    ) -> GasnetEvent:
+    ) -> ConduitEvent:
         """Aggregated one-sided gets: ``(src_address, dst_memref)``
         pairs as one conduit message (see :meth:`put_batch_nb`)."""
         return self._batch_nb("get", src_rank, ops)
@@ -383,7 +384,7 @@ class ConduitClient:
         peer_rank: int,
         ops: Sequence[Tuple[int, MemRef]],
         queue: int = 0,
-    ) -> GasnetEvent:
+    ) -> ConduitEvent:
         """Issue ``(remote address, local memref)`` pairs as one conduit
         message posted to ``queue``; a single put/get is a one-pair
         batch."""
@@ -447,7 +448,7 @@ class ConduitClient:
 
         fut = self._launch(issue, op)
         self._count_message(op, total)
-        event = GasnetEvent(fut)
+        event = ConduitEvent(fut)
         pending = self._queues[queue]
         pending.append(event)
 

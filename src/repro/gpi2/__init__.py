@@ -18,6 +18,7 @@ very large transfers marginally better — producing the crossover the
 paper measures.
 """
 
+from repro.gasnet.conduit import ConduitEvent
 from repro.gpi2.gaspi import Gpi2Conduit, Gpi2Client, Gpi2Params, Notification
 
-__all__ = ["Gpi2Conduit", "Gpi2Client", "Gpi2Params", "Notification"]
+__all__ = ["ConduitEvent", "Gpi2Conduit", "Gpi2Client", "Gpi2Params", "Notification"]

@@ -18,8 +18,8 @@ from repro.cluster.world import World
 from repro.gasnet.conduit import (
     Conduit,
     ConduitClient,
+    ConduitEvent,
     ConduitParams,
-    GasnetEvent,
 )
 from repro.sim import Future
 from repro.util.errors import CommunicationError, ConfigurationError
@@ -95,21 +95,21 @@ class Gpi2Client(ConduitClient):
 
     def put_nb(
         self, dst_rank: int, dst_address: int, src: MemRef, queue: int = 0
-    ) -> GasnetEvent:
+    ) -> ConduitEvent:
         """``gaspi_write``: one-sided put posted to a queue."""
         self._check_queue(queue)
         return self._batch_nb("put", dst_rank, ((dst_address, src),), queue)
 
     def get_nb(
         self, src_rank: int, src_address: int, dst: MemRef, queue: int = 0
-    ) -> GasnetEvent:
+    ) -> ConduitEvent:
         """``gaspi_read``: one-sided get posted to a queue."""
         self._check_queue(queue)
         return self._batch_nb("get", src_rank, ((src_address, dst),), queue)
 
     def put_batch_nb(
         self, dst_rank: int, ops: Sequence[Tuple[int, MemRef]], queue: int = 0
-    ) -> GasnetEvent:
+    ) -> ConduitEvent:
         """Aggregated ``gaspi_write_list``: ``(dst_address, src_memref)``
         pairs coalesced into one conduit message posted to one queue —
         one write overhead, one NIC message overhead, summed payload.
@@ -121,7 +121,7 @@ class Gpi2Client(ConduitClient):
 
     def get_batch_nb(
         self, src_rank: int, ops: Sequence[Tuple[int, MemRef]], queue: int = 0
-    ) -> GasnetEvent:
+    ) -> ConduitEvent:
         """Aggregated ``gaspi_read_list`` (see :meth:`put_batch_nb`)."""
         self._check_queue(queue)
         return self._batch_nb("get", src_rank, ops, queue)

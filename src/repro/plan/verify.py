@@ -37,7 +37,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.plan.ir import (
-    ALWAYS,
     GUARDS,
     OP_KINDS,
     Access,

@@ -20,12 +20,13 @@ Public surface:
   :class:`Barrier` — blocking coordination primitives in virtual time
 * :class:`Rendezvous` — keyed all-member arrival points: the last
   arrival decides once over every payload, everyone leaves together
+  (a :class:`Release` decision also sets the delay and release action)
 * :class:`Tracer` — structured event trace used by tests and the bench
   harness
 """
 
 from repro.sim.core import Simulator, Task, TaskState
-from repro.sim.sync import Future, Channel, Semaphore, Lock, Barrier, Rendezvous
+from repro.sim.sync import Future, Channel, Semaphore, Lock, Barrier, Release, Rendezvous
 from repro.sim.trace import Tracer, TraceRecord
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "Semaphore",
     "Lock",
     "Barrier",
+    "Release",
     "Rendezvous",
     "Tracer",
     "TraceRecord",

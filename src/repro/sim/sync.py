@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import collections
 import copy
-from typing import Any, Callable, Deque, Dict, Hashable, List, Optional
+from typing import Any, Callable, Deque, Dict, Hashable, List, NamedTuple, Optional
 
 from repro.sim.core import Simulator, Task
 from repro.util.errors import SimulationError
@@ -272,6 +272,17 @@ class Lock:
         self.release()
 
 
+class Release(NamedTuple):
+    """A :meth:`Rendezvous.arrive` decision that times its own release:
+    the release comes ``delay`` later than it would otherwise,
+    ``action()`` runs at the release instant, before any member
+    resumes, and every member returns None (no member keeps the
+    action, nor what it references, once released)."""
+
+    delay: float
+    action: Callable[[], None]
+
+
 class Rendezvous:
     """Keyed all-member arrival points carrying per-member payloads.
 
@@ -280,9 +291,12 @@ class Rendezvous:
     ``delay`` later.  A fixed cost every member would sleep before
     arriving is passed as ``delay`` instead: the release instant
     ``max(arrival) + delay`` is the same, reached with one block per
-    member instead of two.  Non-last members wait on the point's one
-    shared :class:`Future`; the last sleeps ``delay`` (when positive),
-    then fires it, so it resumes first and the others in arrival order.
+    member instead of two.  A cost the decision prices (and work due
+    at the release instant) comes back from ``decide`` as a
+    :class:`Release`.  Non-last members wait on the point's one shared
+    :class:`Future`; the last sleeps the delay (when positive), runs
+    the release action, then fires it, so it resumes first and the
+    others in arrival order.
     """
 
     def __init__(self, sim: Simulator, name: str = "rendezvous") -> None:
@@ -301,8 +315,9 @@ class Rendezvous:
         delay: float = 0.0,
     ) -> Any:
         """Return ``decide(payloads)`` (the payloads without ``decide``)
-        on every member, or raise a copy of what ``decide`` raised on
-        every member.  A member arriving twice at a point raises."""
+        on every member, or raise a copy of what ``decide`` or a release
+        action raised on every member.  A member arriving twice at a
+        point raises."""
         point = self._points.get(key)
         if point is None:
             point = self._points[key] = ({}, Future(self.sim, f"{self.name}{key!r}"))
@@ -314,13 +329,22 @@ class Rendezvous:
             result, error = done.wait()
         else:
             del self._points[key]
-            result = error = None
+            result = error = action = None
             try:
                 result = payloads if decide is None else decide(payloads)
             except Exception as exc:  # re-raised by every member below
                 error = exc
+            if type(result) is Release:
+                delay += result.delay
+                action = result.action
+                result = None
             if delay > 0.0:
                 self.sim.sleep(delay)
+            if action is not None:
+                try:
+                    action()
+                except Exception as exc:
+                    error = exc
             done.fire((result, error))
         if error is not None:
             # A copy per member: each raise grows its own traceback.

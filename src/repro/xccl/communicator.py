@@ -16,10 +16,16 @@ arithmetic for real buffers at the completion instant, identical for
 every algorithm (contributions are always combined in slot order, so
 results are bit-identical across algorithms).
 
-A collective call blocks until every member has arrived (matching
-launch order per communicator), then all members complete together at
-the modelled time — the same externally observable semantics as a
-stream-synchronized NCCL call.
+A collective call arrives at the communicator's
+:class:`~repro.sim.Rendezvous`, keyed by the handle's launch sequence
+number; every member then completes together at the modelled time —
+the same externally observable semantics as a stream-synchronized NCCL
+call.  The last arrival checks, over every member, that all called the
+same op with the same size and forced algorithm: a disagreement (or an
+unknown forced algorithm) raises one error, grouping the members by
+what they passed, on every member.  Data is applied at the release
+instant, before any member resumes; members resume in the
+Rendezvous's order (the last arrival first).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from repro.cluster.memref import MemRef
 from repro.cluster.world import World
 from repro.device.driver import Device
 from repro.hardware.topology import DeviceId
-from repro.sim import Future, Rendezvous
+from repro.sim import Release, Rendezvous
 from repro.util.errors import CommunicationError
 from repro.xccl.algorithms import Selection, select_algorithm
 from repro.xccl.params import XcclParams
@@ -43,43 +49,43 @@ from repro.xccl.uniqueid import UniqueId
 
 
 @dataclasses.dataclass
-class _PendingCollective:
-    """Rendezvous state for one in-flight collective.
-
-    All members share one completion future — arrival bookkeeping is
-    O(1) per member (a dict insert and a shared-future wait), so the
-    whole rendezvous costs O(P) rather than O(P) future allocations
-    plus per-member scheduling state.
-    """
-
-    op: str
-    #: message size the first arriver declared (members must agree)
-    nbytes: int
-    #: forced algorithm of the first arriver (None = auto-select)
-    algo: Optional[str]
-    #: completion future every member waits on (created by the first
-    #: arriver, fired once by the completion callback)
-    done: Future
-    arrivals: Dict[int, dict] = dataclasses.field(default_factory=dict)
-
-
-@dataclasses.dataclass
 class _CommState:
     """Shared state of one communicator (all device slots)."""
 
-    uid: UniqueId
     ndev: int
+    #: collective arrival points, keyed by each handle's sequence number
+    points: Rendezvous
     devices: Dict[int, DeviceId] = dataclasses.field(default_factory=dict)
-    ring: Optional[List[DeviceId]] = None
     ctopo: Optional[CommTopology] = None
-    bottleneck_bw: float = 0.0
-    hop_latency: float = 0.0
-    pending: Dict[int, _PendingCollective] = dataclasses.field(default_factory=dict)
     #: (op, nbytes, forced-algo) -> Selection.  The topology and params
     #: are frozen after init, so pricing is a pure function of the key;
     #: caching makes the per-member selection preview O(1) instead of
     #: re-running the cost models for every launch of a repeated shape.
     sel_cache: Dict[tuple, Selection] = dataclasses.field(default_factory=dict)
+
+
+#: the call fields every member must agree on: (phrase, formatter)
+_AGREEMENT = (
+    ("collective", str),
+    ("size", "{} bytes".format),
+    ("algorithm", lambda algo: "auto" if algo is None else repr(algo)),
+)
+
+
+def _disagreement(seq: int, arrivals: Dict[int, dict]) -> CommunicationError:
+    """The error for disagreeing members, grouped by what they passed
+    (the first field that differs; smallest group first)."""
+    for field, (what, fmt) in enumerate(_AGREEMENT):
+        groups: Dict[object, List[int]] = {}
+        for member in sorted(arrivals):
+            groups.setdefault(arrivals[member]["call"][field], []).append(member)
+        if len(groups) > 1:
+            break
+    ranked = sorted(groups.items(), key=lambda g: (len(g[1]), g[1][0]))
+    named = ", ".join(f"{fmt(v)} from {members}" for v, members in ranked)
+    return CommunicationError(
+        f"{what} mismatch at sequence {seq}: {named} (all members must agree)"
+    )
 
 
 class XcclContext:
@@ -111,7 +117,7 @@ class XcclContext:
     def _state(self, uid: UniqueId, ndev: int) -> _CommState:
         state = self._comms.get(uid)
         if state is None:
-            state = _CommState(uid=uid, ndev=ndev)
+            state = _CommState(ndev, Rendezvous(self.world.sim, name="xccl"))
             self._comms[uid] = state
         elif state.ndev != ndev:
             raise CommunicationError(
@@ -157,10 +163,8 @@ class XcclComm:
         def detect(_payloads) -> None:
             # Last joiner: detect topology once; init is charged as the
             # release delay.
-            state.ring = build_ring([state.devices[i] for i in range(ndev)])
-            state.ctopo = analyze(ctx.world.topology, state.ring, ctx.params)
-            state.bottleneck_bw = state.ctopo.flat_bw
-            state.hop_latency = state.ctopo.flat_hop_latency
+            ring = build_ring([state.devices[i] for i in range(ndev)])
+            state.ctopo = analyze(ctx.world.topology, ring, ctx.params)
 
         ctx._joins.arrive(uid, dev_rank, None, ndev, detect, ctx.params.init_overhead)
         return cls(ctx, state, dev_rank, device)
@@ -222,64 +226,28 @@ class XcclComm:
         apply_fn: Callable[[Dict[int, dict]], None],
         algo: Optional[str] = None,
     ) -> None:
-        """Arrive at collective #seq; last arrival schedules completion."""
+        """Arrive at this handle's next collective.  The last arrival
+        checks that every member called the same op, size and forced
+        algorithm, and selects the algorithm; all members leave together
+        once it completes, with ``apply_fn`` run at that instant."""
+        ctx = self.ctx
         state = self._state
-        sim = self.ctx.world.sim
         seq = self._op_seq
         self._op_seq += 1
-        pending = state.pending.get(seq)
-        if pending is None:
-            pending = _PendingCollective(
-                op=op,
-                nbytes=nbytes,
-                algo=algo,
-                done=Future(sim, description=f"xccl:{op}#{seq}"),
-            )
-            state.pending[seq] = pending
-        if pending.op != op:
-            raise CommunicationError(
-                f"collective mismatch at sequence {seq}: "
-                f"{pending.op} vs {op} (all members must call the same op "
-                "in the same order)"
-            )
-        if pending.nbytes != nbytes:
-            raise CommunicationError(
-                f"collective size mismatch at sequence {seq}: device rank "
-                f"{self.dev_rank} passed {nbytes} bytes for {op} but earlier "
-                f"members passed {pending.nbytes} (all members must agree)"
-            )
-        if pending.algo != algo:
-            raise CommunicationError(
-                f"collective algorithm mismatch at sequence {seq}: device rank "
-                f"{self.dev_rank} forced {algo!r} but earlier members forced "
-                f"{pending.algo!r}"
-            )
-        if self.dev_rank in pending.arrivals:
-            raise CommunicationError(f"device rank {self.dev_rank} arrived twice")
-        pending.arrivals[self.dev_rank] = arrival
-        fut = pending.done
-        self.ctx._launches_by.inc((op, self.ctx.params.name, state.ndev))
-        if len(pending.arrivals) == state.ndev:
-            del state.pending[seq]
+        arrival["call"] = (op, nbytes, algo)
+        ctx._launches_by.inc((op, ctx.params.name, state.ndev))
+
+        def decide(arrivals: Dict[int, dict]) -> Release:
+            if len({a["call"] for a in arrivals.values()}) > 1:
+                raise _disagreement(seq, arrivals)
             sel = self.select(op, nbytes, algo=algo)
-            duration = sel.seconds
-            labels = dict(
-                op=op, algo=sel.algo, library=self.ctx.params.name, ndev=state.ndev
-            )
-            self.ctx._m_algo.inc(**labels)
-            self.ctx._m_wire.inc(
-                state.ndev * sum(ph.wire_bytes for ph in sel.phases), **labels
-            )
-            self._record_phases(sel, sim.now)
-            arrivals = pending.arrivals
-            done = pending.done
+            labels = dict(op=op, algo=sel.algo, library=ctx.params.name, ndev=state.ndev)
+            ctx._m_algo.inc(**labels)
+            ctx._m_wire.inc(state.ndev * sum(ph.wire_bytes for ph in sel.phases), **labels)
+            self._record_phases(sel, ctx.world.sim.now)
+            return Release(sel.seconds, lambda: apply_fn(arrivals))
 
-            def complete() -> None:
-                apply_fn(arrivals)
-                done.fire()
-
-            sim.call_later(duration, complete)
-        fut.wait()
+        state.points.arrive(seq, self.dev_rank, arrival, state.ndev, decide)
 
     @staticmethod
     def _all_real(arrivals: Dict[int, dict], *keys: str) -> bool:

@@ -235,3 +235,26 @@ class TestAllgather:
 
         with pytest.raises(CommunicationError, match="allgather"):
             run_spmd(w, prog)
+
+
+class TestCountMismatch:
+    """A rank passing a larger count than its peers overflows a peer's
+    receive buffer, which fails the run (see docs/COLLECTIVES.md)."""
+
+    @pytest.mark.parametrize("odd", [0, 2])
+    @pytest.mark.parametrize("kind", ["allreduce", "bcast"])
+    def test_larger_count_on_one_rank_raises(self, kind, odd):
+        w, mpi = make_mpi(nodes=1)
+
+        def prog(ctx):
+            comm = mpi.comm_world(ctx.rank)
+            data = np.ones(8 if ctx.rank == odd else 4)
+            if kind == "allreduce":
+                coll.allreduce(comm, href(ctx, data), href(ctx, np.zeros_like(data)), np.float64)
+            else:
+                coll.bcast(comm, href(ctx, data), root=0)
+
+        with pytest.raises(
+            CommunicationError, match="message of 64 bytes overflows receive buffer of 32 bytes"
+        ):
+            run_spmd(w, prog)

@@ -5,7 +5,7 @@ import collections
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Barrier, Channel, Future, Lock, Rendezvous, Semaphore, Simulator
+from repro.sim import Barrier, Channel, Future, Lock, Release, Rendezvous, Semaphore, Simulator
 from repro.util.errors import SimulationError
 
 
@@ -501,6 +501,40 @@ class TestRendezvous:
         assert [(seq, t) for seq, _i, t in log] == [
             (0, 1.2), (0, 1.2), (1, 2.4), (1, 2.4), (2, 3.6), (2, 3.6)
         ]
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_release_decision_times_and_acts(self, fail):
+        """A :class:`Release` decision adds its delay to ``delay`` and
+        runs its action at the release instant, before any member
+        resumes; an action's error reaches every member."""
+        sim = Simulator()
+        rdv = Rendezvous(sim)
+        log = []
+
+        def act():
+            log.append(("action", sim.now))
+            if fail:
+                raise ValueError("action failed")
+
+        def decide(payloads):
+            assert payloads == {0: 0, 1: 1, 2: 2}
+            return Release(0.25, act)
+
+        def member(i):
+            sim.sleep(0.5 * i)
+            try:
+                outcome = rdv.arrive("p", i, i, 3, decide, delay=1.0)
+            except ValueError as exc:
+                outcome = str(exc)
+            log.append((i, sim.now, outcome))
+
+        for i in range(3):
+            sim.spawn(member, i)
+        sim.run()
+        outcome = "action failed" if fail else None
+        released = [(i, 2.25, outcome) for i in (2, 0, 1)]  # last arrival first
+        assert log == [("action", 2.25)] + released
+        assert sim.parks == 3 + 3  # each member's sleep, then one block in arrive
 
     def test_member_arriving_twice_raises(self):
         sim = Simulator()

@@ -498,6 +498,71 @@ class TestCollectiveValidation:
         assert w.obs.value("xccl.algo", algo="hier_ring", op="all_reduce") == 1
 
 
+def _mismatch(odd):
+    """Per-rank calls where rank ``odd`` disagrees with the rest, with
+    the error every member must raise."""
+    def sized(comm, rc):
+        size = 16 if rc.rank == odd else 8
+        send = MemRef.device(rc.device.malloc(size))
+        comm.all_reduce(send, MemRef.device(rc.device.malloc(size)))
+
+    def forced(comm, rc):
+        buf = MemRef.device(rc.device.malloc(8))
+        comm.broadcast(buf, root=0, algo="ring" if rc.rank == odd else None)
+
+    def op(comm, rc):
+        buf = MemRef.device(rc.device.malloc(8))
+        if rc.rank == odd:
+            comm.broadcast(buf, root=0)
+        else:
+            comm.all_reduce(buf, MemRef.device(rc.device.malloc(8)))
+
+    rest = [r for r in range(4) if r != odd]
+    at = "mismatch at sequence 1:"
+    return {
+        "size": (sized, f"size {at} 16 bytes from [{odd}], 8 bytes from {rest}"),
+        "algorithm": (forced, f"algorithm {at} 'ring' from [{odd}], auto from {rest}"),
+        "op": (op, f"collective {at} broadcast from [{odd}], all_reduce from {rest}"),
+    }
+
+
+class TestAgreementOnEveryMember:
+    """An agreement error is decided once, over every member's call,
+    and raised on every member (none is left waiting)."""
+
+    def _errors(self, call):
+        w, ctx = make_ctx(nodes=1)
+        uid = UniqueId.create()
+        errors = {}
+
+        def prog(rc):
+            comm = XcclComm.init_rank(ctx, uid, rc.rank, w.nranks, rc.device)
+            buf = MemRef.device(rc.device.malloc(8))
+            comm.broadcast(buf, root=0)  # an agreed collective first
+            try:
+                call(comm, rc)
+            except CommunicationError as exc:
+                errors[rc.rank] = str(exc)
+
+        run_spmd(w, prog)
+        assert sorted(errors) == list(range(w.nranks))
+        assert len(set(errors.values())) == 1
+        return errors[0]
+
+    @pytest.mark.parametrize("odd", [0, 2])
+    @pytest.mark.parametrize("field", ["size", "algorithm", "op"])
+    def test_disagreement_raises_on_every_member(self, field, odd):
+        call, expected = _mismatch(odd)[field]
+        assert self._errors(call).startswith(expected)
+
+    def test_unknown_forced_algorithm_raises_on_every_member(self):
+        def call(comm, rc):
+            buf = MemRef.device(rc.device.malloc(8))
+            comm.all_reduce(buf, MemRef.device(rc.device.malloc(8)), algo="butterfly")
+
+        assert "unknown algorithm" in self._errors(call)
+
+
 class TestVectorizedSweep:
     def _ctopo(self, nodes=2):
         w = World(platform_a(with_quirk=False), num_nodes=nodes)
