@@ -9,9 +9,9 @@ libraries.  Responsibilities reproduced from the paper:
   member then joins one communicator *slot per bound device*,
 * **device-slot collectives** — ``bcast``/``allreduce``/``reduce``/
   ``allgather``/``reduce_scatter``/``alltoall`` take one buffer per
-  local device; a multi-device rank drives all its slots concurrently
-  (the group-launch pattern a single process needs, cf.
-  ncclGroupStart/End),
+  local device and share one launch path (``Ompccl._launch``); a
+  multi-device rank drives all its slots concurrently (the
+  group-launch pattern a single process needs, cf. ncclGroupStart/End),
 * **algorithm attribution** — every launch records the XCCL-selected
   algorithm (ring / tree / hierarchical ring) as an ``ompccl.algo``
   metric label and span argument so traces and the critical path
@@ -80,37 +80,6 @@ class Ompccl:
     def _algo_by(self):
         return self._m_algo.bind("kind", "algo", "library", "group", "rank")
 
-    def _record(self, kind: str, group: DiompGroup, ctx: RankContext, buffers: Sequence[MemRef]) -> None:
-        nbytes = sum(b.nbytes for b in buffers)
-        self._colls_by.inc((kind, self.xccl.params.name, group.size, ctx.rank))
-        self._bytes_by.inc((kind, ctx.rank), nbytes)
-
-    def _selected(
-        self,
-        comms: Sequence[XcclComm],
-        kind: str,
-        xccl_op: str,
-        nbytes: int,
-        group: DiompGroup,
-        ctx: RankContext,
-        algo: Optional[str],
-    ) -> str:
-        """Resolve (and label) the algorithm one launch will use.
-
-        Previews the communicator's selection so the ``ompccl.algo``
-        counter and the collective span carry the algorithm before the
-        rendezvous completes; a forced-but-ineligible ``algo`` raises
-        here, before any member arrives.
-        """
-        selected = comms[0].select(xccl_op, nbytes, algo=algo).algo
-        self._algo_by.inc((kind, selected, self.xccl.params.name, group.group_id, ctx.rank))
-        return selected
-
-    def _trace_rendezvous(self, kind: str, group: DiompGroup, ctx: RankContext) -> None:
-        """Cross-link this rank's open collective span with its peers'
-        (see :meth:`repro.obs.Observability.rendezvous`)."""
-        self._obs.rendezvous(f"ompccl.{kind}", group.group_id, ctx.rank, group.size)
-
     # -- channel management ------------------------------------------------------
 
     def _ensure_channels(self, group: DiompGroup, ctx: RankContext) -> List[XcclComm]:
@@ -160,29 +129,54 @@ class Ompccl:
         chan.comms_by_rank[ctx.rank] = comms  # type: ignore[assignment]
         return comms  # type: ignore[return-value]
 
-    def _run_on_slots(
+    def _launch(
         self,
+        kind: str,
+        xccl_op: str,
+        group: DiompGroup,
         ctx: RankContext,
-        comms: Sequence[XcclComm],
-        op: Callable[[XcclComm, int], None],
+        checked: Sequence[Sequence[MemRef]],
+        algo: Optional[str],
+        call: Callable[[XcclComm, int], None],
     ) -> None:
-        """Run one collective on every local slot concurrently."""
-        if len(comms) == 1:
-            op(comms[0], 0)
-            return
-        tasks = [
-            ctx.sim.spawn(op, comm, i, name=f"ompccl-slot{i}")
-            for i, comm in enumerate(comms)
-        ]
-        for t in tasks:
-            t.join()
+        """Launch one collective: ``call(comm, i)`` on every local slot.
 
-    def _check_buffers(self, ctx: RankContext, buffers: Sequence[MemRef]) -> None:
-        if len(buffers) != len(ctx.devices):
-            raise CommunicationError(
-                "OMPCCL needs one buffer per bound device "
-                f"({len(ctx.devices)}), got {len(buffers)}"
-            )
+        ``checked`` are the buffer lists that must hold one buffer per
+        bound device; the first one is the payload recorded in the
+        metrics and priced by the algorithm preview.
+        """
+        for buffers in checked:
+            if len(buffers) != len(ctx.devices):
+                raise CommunicationError(
+                    "OMPCCL needs one buffer per bound device "
+                    f"({len(ctx.devices)}), got {len(buffers)}"
+                )
+        comms = self._ensure_channels(group, ctx)
+        payload = checked[0]
+        library = self.xccl.params.name
+        self._colls_by.inc((kind, library, group.size, ctx.rank))
+        self._bytes_by.inc((kind, ctx.rank), sum(b.nbytes for b in payload))
+        # Preview the communicator's selection so the ``ompccl.algo``
+        # counter and the span carry the algorithm before the rendezvous
+        # completes; a forced-but-ineligible ``algo`` raises here, before
+        # any member arrives.
+        selected = comms[0].select(xccl_op, payload[0].nbytes, algo=algo).algo
+        self._algo_by.inc((kind, selected, library, group.group_id, ctx.rank))
+        name = f"ompccl.{kind}"
+        with self._obs.span(name, rank=ctx.rank, group=group.group_id, algo=selected):
+            # Cross-link this rank's open span with its peers' (see
+            # repro.obs.Observability.rendezvous).
+            self._obs.rendezvous(name, group.group_id, ctx.rank, group.size)
+            if len(comms) == 1:
+                call(comms[0], 0)
+                return
+            # A multi-device rank drives its slots concurrently.
+            tasks = [
+                ctx.sim.spawn(call, comm, i, name=f"ompccl-slot{i}")
+                for i, comm in enumerate(comms)
+            ]
+            for t in tasks:
+                t.join()
 
     # -- collectives ---------------------------------------------------------------
 
@@ -195,21 +189,10 @@ class Ompccl:
         algo: Optional[str] = None,
     ) -> None:
         """``ompx_bcast``: broadcast from a device slot of the group."""
-        self._check_buffers(ctx, buffers)
-        comms = self._ensure_channels(group, ctx)
-        self._record("bcast", group, ctx, buffers)
-        selected = self._selected(
-            comms, "bcast", "broadcast", buffers[0].nbytes, group, ctx, algo
+        self._launch(
+            "bcast", "broadcast", group, ctx, (buffers,), algo,
+            lambda comm, i: comm.broadcast(buffers[i], root=root_slot, algo=algo),
         )
-        with self._obs.span(
-            "ompccl.bcast", rank=ctx.rank, group=group.group_id, algo=selected
-        ):
-            self._trace_rendezvous("bcast", group, ctx)
-            self._run_on_slots(
-                ctx,
-                comms,
-                lambda comm, i: comm.broadcast(buffers[i], root=root_slot, algo=algo),
-            )
 
     def allreduce(
         self,
@@ -222,24 +205,10 @@ class Ompccl:
         algo: Optional[str] = None,
     ) -> None:
         """``ompx_allreduce`` over every device of the group."""
-        self._check_buffers(ctx, send)
-        self._check_buffers(ctx, recv)
-        comms = self._ensure_channels(group, ctx)
-        self._record("allreduce", group, ctx, send)
-        selected = self._selected(
-            comms, "allreduce", "all_reduce", send[0].nbytes, group, ctx, algo
+        self._launch(
+            "allreduce", "all_reduce", group, ctx, (send, recv), algo,
+            lambda comm, i: comm.all_reduce(send[i], recv[i], dtype=dtype, op=op, algo=algo),
         )
-        with self._obs.span(
-            "ompccl.allreduce", rank=ctx.rank, group=group.group_id, algo=selected
-        ):
-            self._trace_rendezvous("allreduce", group, ctx)
-            self._run_on_slots(
-                ctx,
-                comms,
-                lambda comm, i: comm.all_reduce(
-                    send[i], recv[i], dtype=dtype, op=op, algo=algo
-                ),
-            )
 
     def reduce(
         self,
@@ -253,23 +222,12 @@ class Ompccl:
         algo: Optional[str] = None,
     ) -> None:
         """``ompx_reduce`` toward one device slot."""
-        self._check_buffers(ctx, send)
-        comms = self._ensure_channels(group, ctx)
-        self._record("reduce", group, ctx, send)
-        selected = self._selected(
-            comms, "reduce", "reduce", send[0].nbytes, group, ctx, algo
+        self._launch(
+            "reduce", "reduce", group, ctx, (send,), algo,
+            lambda comm, i: comm.reduce(
+                send[i], recv[i], root=root_slot, dtype=dtype, op=op, algo=algo
+            ),
         )
-        with self._obs.span(
-            "ompccl.reduce", rank=ctx.rank, group=group.group_id, algo=selected
-        ):
-            self._trace_rendezvous("reduce", group, ctx)
-            self._run_on_slots(
-                ctx,
-                comms,
-                lambda comm, i: comm.reduce(
-                    send[i], recv[i], root=root_slot, dtype=dtype, op=op, algo=algo
-                ),
-            )
 
     def allgather(
         self,
@@ -281,22 +239,10 @@ class Ompccl:
     ) -> None:
         """``ompx_allgather``: every device slot contributes its send
         block; each receive buffer holds all blocks in slot order."""
-        self._check_buffers(ctx, send)
-        self._check_buffers(ctx, recv)
-        comms = self._ensure_channels(group, ctx)
-        self._record("allgather", group, ctx, send)
-        selected = self._selected(
-            comms, "allgather", "all_gather", send[0].nbytes, group, ctx, algo
+        self._launch(
+            "allgather", "all_gather", group, ctx, (send, recv), algo,
+            lambda comm, i: comm.all_gather(send[i], recv[i], algo=algo),
         )
-        with self._obs.span(
-            "ompccl.allgather", rank=ctx.rank, group=group.group_id, algo=selected
-        ):
-            self._trace_rendezvous("allgather", group, ctx)
-            self._run_on_slots(
-                ctx,
-                comms,
-                lambda comm, i: comm.all_gather(send[i], recv[i], algo=algo),
-            )
 
     def reduce_scatter(
         self,
@@ -310,24 +256,10 @@ class Ompccl:
     ) -> None:
         """``ompx_reduce_scatter``: element-wise reduction of every
         slot's send buffer; slot ``i`` keeps reduced block ``i``."""
-        self._check_buffers(ctx, send)
-        self._check_buffers(ctx, recv)
-        comms = self._ensure_channels(group, ctx)
-        self._record("reduce_scatter", group, ctx, send)
-        selected = self._selected(
-            comms, "reduce_scatter", "reduce_scatter", send[0].nbytes, group, ctx, algo
+        self._launch(
+            "reduce_scatter", "reduce_scatter", group, ctx, (send, recv), algo,
+            lambda comm, i: comm.reduce_scatter(send[i], recv[i], dtype=dtype, op=op, algo=algo),
         )
-        with self._obs.span(
-            "ompccl.reduce_scatter", rank=ctx.rank, group=group.group_id, algo=selected
-        ):
-            self._trace_rendezvous("reduce_scatter", group, ctx)
-            self._run_on_slots(
-                ctx,
-                comms,
-                lambda comm, i: comm.reduce_scatter(
-                    send[i], recv[i], dtype=dtype, op=op, algo=algo
-                ),
-            )
 
     def alltoall(
         self,
@@ -338,19 +270,7 @@ class Ompccl:
         algo: Optional[str] = None,
     ) -> None:
         """``ompx_alltoall``: pairwise block exchange over the group."""
-        self._check_buffers(ctx, send)
-        self._check_buffers(ctx, recv)
-        comms = self._ensure_channels(group, ctx)
-        self._record("alltoall", group, ctx, send)
-        selected = self._selected(
-            comms, "alltoall", "alltoall", send[0].nbytes, group, ctx, algo
+        self._launch(
+            "alltoall", "alltoall", group, ctx, (send, recv), algo,
+            lambda comm, i: comm.alltoall(send[i], recv[i], algo=algo),
         )
-        with self._obs.span(
-            "ompccl.alltoall", rank=ctx.rank, group=group.group_id, algo=selected
-        ):
-            self._trace_rendezvous("alltoall", group, ctx)
-            self._run_on_slots(
-                ctx,
-                comms,
-                lambda comm, i: comm.alltoall(send[i], recv[i], algo=algo),
-            )

@@ -13,8 +13,12 @@ The algorithm switches mirror MPICH's tuning:
 Because every step is a real simulated message, collective timing
 inherits the full path model (intra-node links, NIC striping,
 contention) — which is exactly what makes the Fig. 6 comparison
-against OMPCCL meaningful.  Reductions perform real numpy arithmetic
-when buffers are real; virtual buffers contribute timing only.
+against OMPCCL meaningful.  Reductions have one code path for real
+and virtual buffers: messages move between the caller's buffers'
+endpoints, so a program is priced the same whether or not its buffers
+hold data, and numpy combines run only on real ones (mixing the two
+raises, as :meth:`~repro.cluster.MemRef.copy_from` does).  See
+docs/COLLECTIVES.md.
 
 These functions are *per-rank* and collective: every member of the
 communicator must call them in matching order, as in MPI.
@@ -78,6 +82,16 @@ def bcast(comm: Communicator, memref: MemRef, root: int = 0) -> None:
         _bcast_scatter_allgather(comm, memref, root)
 
 
+def _check_bcast_count(comm: Communicator, memref: MemRef, nbytes: int, root: int) -> None:
+    """A short broadcast message means the root passed a smaller count
+    than this rank (a larger one overflows ``memref`` on receipt)."""
+    if nbytes != memref.nbytes:
+        raise CommunicationError(
+            f"bcast root {root} sent {nbytes} bytes where rank {comm.rank} "
+            f"expects {memref.nbytes} (every rank must pass the root's count)"
+        )
+
+
 def _bcast_binomial(comm: Communicator, memref: MemRef, root: int) -> None:
     size, rank = comm.size, comm.rank
     vrank = (rank - root) % size  # virtual rank with root at 0
@@ -85,7 +99,14 @@ def _bcast_binomial(comm: Communicator, memref: MemRef, root: int) -> None:
     while mask < size:
         if vrank & mask:
             src = ((vrank - mask) + root) % size
-            comm.recv(memref, source=src, tag=_COLL_TAG + 10)
+            nbytes = comm.recv(memref, source=src, tag=_COLL_TAG + 10)[2]
+            if mask == 1 or vrank + 1 == size:
+                # Only a leaf checks: a rank with children forwards its
+                # whole buffer, so a larger count there overflows a
+                # child instead.  Virtual rank 1 is a leaf under the
+                # root, so a root passing a smaller count is always
+                # caught.
+                _check_bcast_count(comm, memref, nbytes, root)
             break
         mask *= 2
     mask //= 2
@@ -118,7 +139,9 @@ def _bcast_scatter_allgather(comm: Communicator, memref: MemRef, root: int) -> N
     else:
         lo, hi = blocks[rank]
         if hi > lo:
-            comm.recv(memref.slice(lo, hi - lo), source=root, tag=_COLL_TAG + 11)
+            block = memref.slice(lo, hi - lo)
+            nbytes = comm.recv(block, source=root, tag=_COLL_TAG + 11)[2]
+            _check_bcast_count(comm, block, nbytes, root)
     # Ring allgather of the blocks.
     _ring_allgather_blocks(comm, memref, blocks, tag=_COLL_TAG + 12)
 
@@ -146,6 +169,21 @@ def _ring_allgather_blocks(comm, memref: MemRef, blocks, tag: int, owned: Option
         )
 
 
+def _scratch(ref: MemRef) -> MemRef:
+    """Where a partner's contribution lands: a fresh buffer at ``ref``'s
+    endpoint, or ``ref`` itself when it is virtual (timing only)."""
+    if ref.is_virtual:
+        return ref
+    return MemRef(ref.endpoint, np.empty(ref.nbytes, np.uint8), 0, ref.nbytes)
+
+
+def _combine(acc: MemRef, partner: MemRef, dtype: np.dtype, op: Callable) -> None:
+    """``acc = op(acc, partner)`` element-wise (virtual ``acc``: no-op)."""
+    if not acc.is_virtual:
+        view = acc.typed(dtype)
+        view[:] = op(view, partner.typed(dtype))
+
+
 def reduce(
     comm: Communicator,
     send: MemRef,
@@ -157,7 +195,8 @@ def reduce(
     """Binomial-tree reduction toward ``root``.
 
     ``recv`` is required at the root and ignored elsewhere.  ``send``
-    is left unmodified (an internal accumulator is used).
+    is left unmodified: the partial sum lives in a buffer at ``send``'s
+    endpoint, so messages are priced on the caller's memory path.
     """
     if not 0 <= root < comm.size:
         raise CommunicationError(f"bad reduce root {root}")
@@ -166,42 +205,24 @@ def reduce(
     comm.sim.sleep(comm.mpi.params.collective_overhead)
     dtype = np.dtype(dtype)
     size, rank = comm.size, comm.rank
-    node = comm.mpi.world.ranks[comm.world_rank].node
-    virtual = send.is_virtual
-
-    if virtual:
-        acc = None
-    else:
-        acc = send.typed(dtype).copy()
-
+    acc = _scratch(send)
+    acc.copy_from(send)
+    partner = _scratch(send)
     vrank = (rank - root) % size
     mask = 1
     while mask < size:
         if vrank & mask:
             dst = ((vrank - mask) + root) % size
-            payload = (
-                MemRef.host(node, np.zeros(0, dtype=np.uint8))
-                if virtual
-                else MemRef.host(node, acc)
-            )
-            if virtual:
-                payload = send  # timing uses the real size/endpoint
-            comm.send(payload, dst, tag=_COLL_TAG + 20)
+            comm.send(acc, dst, tag=_COLL_TAG + 20)
             break
-        else:
-            peer_v = vrank | mask
-            if peer_v < size:
-                src = (peer_v + root) % size
-                if virtual:
-                    tmp_ref = send  # virtual: timing only
-                    comm.recv(tmp_ref, source=src, tag=_COLL_TAG + 20)
-                else:
-                    tmp = np.empty_like(acc)
-                    comm.recv(MemRef.host(node, tmp), source=src, tag=_COLL_TAG + 20)
-                    acc = op(acc, tmp)
+        peer_v = vrank | mask
+        if peer_v < size:
+            src = (peer_v + root) % size
+            comm.recv(partner, source=src, tag=_COLL_TAG + 20)
+            _combine(acc, partner, dtype, op)
         mask *= 2
-    if rank == root and not virtual:
-        recv.typed(dtype)[:] = acc
+    if rank == root:
+        recv.copy_from(acc)
 
 
 def allreduce(
@@ -211,26 +232,32 @@ def allreduce(
     dtype: np.dtype,
     op: Callable = np.add,
 ) -> None:
-    """Allreduce with MPICH's algorithm switch."""
+    """Allreduce with MPICH's algorithm switch.
+
+    ``recv`` (a copy of ``send``) is the accumulator, so every message
+    moves between the caller's buffers' endpoints.
+    """
+    dtype = np.dtype(dtype)
     if send.nbytes != recv.nbytes:
         raise CommunicationError("allreduce buffers must have equal size")
+    if send.nbytes % dtype.itemsize:
+        raise CommunicationError(
+            f"allreduce buffer of {send.nbytes} bytes is not a multiple of "
+            f"{dtype} itemsize"
+        )
     comm.sim.sleep(comm.mpi.params.collective_overhead)
+    recv.copy_from(send)
     if comm.size == 1:
-        recv.copy_from(send)
         return
     if send.nbytes <= comm.mpi.params.allreduce_long_threshold:
-        _allreduce_recursive_doubling(comm, send, recv, dtype, op)
+        _allreduce_recursive_doubling(comm, recv, dtype, op)
     else:
-        _allreduce_rabenseifner(comm, send, recv, dtype, op)
+        _allreduce_rabenseifner(comm, recv, dtype, op)
 
 
-def _allreduce_recursive_doubling(comm, send, recv, dtype, op) -> None:
+def _allreduce_recursive_doubling(comm, acc: MemRef, dtype, op) -> None:
     size, rank = comm.size, comm.rank
-    dtype = np.dtype(dtype)
-    node = comm.mpi.world.ranks[comm.world_rank].node
-    virtual = send.is_virtual or recv.is_virtual
-    if not virtual:
-        acc = send.typed(dtype).copy()
+    partner = _scratch(acc)
     # Non-power-of-two: fold the remainder into the lower half first.
     pof2 = 1
     while pof2 * 2 <= size:
@@ -239,14 +266,10 @@ def _allreduce_recursive_doubling(comm, send, recv, dtype, op) -> None:
     newrank = -1
     if rank < 2 * rem:
         if rank % 2 == 0:
-            comm.send(send if virtual else MemRef.host(node, acc), rank + 1, tag=_COLL_TAG + 30)
+            comm.send(acc, rank + 1, tag=_COLL_TAG + 30)
         else:
-            if virtual:
-                comm.recv(recv, source=rank - 1, tag=_COLL_TAG + 30)
-            else:
-                tmp = np.empty_like(acc)
-                comm.recv(MemRef.host(node, tmp), source=rank - 1, tag=_COLL_TAG + 30)
-                acc = op(acc, tmp)
+            comm.recv(partner, source=rank - 1, tag=_COLL_TAG + 30)
+            _combine(acc, partner, dtype, op)
             newrank = rank // 2
     else:
         newrank = rank - rem
@@ -255,34 +278,20 @@ def _allreduce_recursive_doubling(comm, send, recv, dtype, op) -> None:
         while mask < pof2:
             peer_new = newrank ^ mask
             peer = peer_new * 2 + 1 if peer_new < rem else peer_new + rem
-            if virtual:
-                comm.sendrecv(send, peer, recv, peer, send_tag=_COLL_TAG + 31, recv_tag=_COLL_TAG + 31)
-            else:
-                tmp = np.empty_like(acc)
-                comm.sendrecv(
-                    MemRef.host(node, acc),
-                    peer,
-                    MemRef.host(node, tmp),
-                    peer,
-                    send_tag=_COLL_TAG + 31,
-                    recv_tag=_COLL_TAG + 31,
-                )
-                acc = op(acc, tmp)
+            comm.sendrecv(
+                acc, peer, partner, peer, send_tag=_COLL_TAG + 31, recv_tag=_COLL_TAG + 31
+            )
+            _combine(acc, partner, dtype, op)
             mask *= 2
     # Hand results back to the folded ranks.
     if rank < 2 * rem:
         if rank % 2 == 0:
-            if virtual:
-                comm.recv(recv, source=rank + 1, tag=_COLL_TAG + 32)
-            else:
-                comm.recv(MemRef.host(node, acc), source=rank + 1, tag=_COLL_TAG + 32)
+            comm.recv(acc, source=rank + 1, tag=_COLL_TAG + 32)
         else:
-            comm.send(recv if virtual else MemRef.host(node, acc), rank - 1, tag=_COLL_TAG + 32)
-    if not virtual:
-        recv.typed(dtype)[:] = acc
+            comm.send(acc, rank - 1, tag=_COLL_TAG + 32)
 
 
-def _allreduce_rabenseifner(comm, send, recv, dtype, op) -> None:
+def _allreduce_rabenseifner(comm, acc: MemRef, dtype, op) -> None:
     """Reduce-scatter (pairwise-exchange) + ring allgather.
 
     For clarity the reduce-scatter runs as a ring (P-1 steps of
@@ -290,50 +299,32 @@ def _allreduce_rabenseifner(comm, send, recv, dtype, op) -> None:
     large messages this branch handles.
     """
     size, rank = comm.size, comm.rank
-    dtype = np.dtype(dtype)
     itemsize = dtype.itemsize
-    count = send.nbytes // itemsize
-    virtual = send.is_virtual or recv.is_virtual
-    node = comm.mpi.world.ranks[comm.world_rank].node
-    blocks = [_chunk_bounds(count, size, i) for i in range(size)]
+    blocks = [_chunk_bounds(acc.nbytes // itemsize, size, i) for i in range(size)]
     byte_blocks = [(lo * itemsize, hi * itemsize) for lo, hi in blocks]
-    if not virtual:
-        recv.copy_from(send)
-        work = recv.typed(dtype)
+    # Block 0 is the largest; every step receives into a prefix of it.
+    partner = _scratch(acc.slice(0, byte_blocks[0][1]))
     right, left = (rank + 1) % size, (rank - 1) % size
     # Reduce-scatter ring: after P-1 steps rank owns the full reduction
     # of its block.
     for step in range(size - 1):
-        send_block = (rank - step) % size
-        recv_block = (rank - step - 1) % size
-        s_lo, s_hi = byte_blocks[send_block]
-        r_lo, r_hi = byte_blocks[recv_block]
-        if virtual:
-            comm.sendrecv(
-                send.slice(s_lo, s_hi - s_lo),
-                right,
-                recv.slice(r_lo, r_hi - r_lo),
-                left,
-                send_tag=_COLL_TAG + 40 + step,
-                recv_tag=_COLL_TAG + 40 + step,
-            )
-        else:
-            tmp = np.empty((r_hi - r_lo) // itemsize, dtype=dtype)
-            comm.sendrecv(
-                recv.slice(s_lo, s_hi - s_lo),
-                right,
-                MemRef.host(node, tmp),
-                left,
-                send_tag=_COLL_TAG + 40 + step,
-                recv_tag=_COLL_TAG + 40 + step,
-            )
-            lo_i, hi_i = blocks[recv_block]
-            work[lo_i:hi_i] = op(work[lo_i:hi_i], tmp)
+        s_lo, s_hi = byte_blocks[(rank - step) % size]
+        r_lo, r_hi = byte_blocks[(rank - step - 1) % size]
+        into = partner.slice(0, r_hi - r_lo)
+        comm.sendrecv(
+            acc.slice(s_lo, s_hi - s_lo),
+            right,
+            into,
+            left,
+            send_tag=_COLL_TAG + 40 + step,
+            recv_tag=_COLL_TAG + 40 + step,
+        )
+        _combine(acc.slice(r_lo, r_hi - r_lo), into, dtype, op)
     # Allgather ring distributes the reduced blocks.  After the
     # reduce-scatter, rank r owns the fully reduced block (r+1) mod P.
     _ring_allgather_blocks(
         comm,
-        recv,
+        acc,
         byte_blocks,
         tag=_COLL_TAG + 40 + size,
         owned=(rank + 1) % size,

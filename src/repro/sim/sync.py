@@ -275,12 +275,12 @@ class Lock:
 class Release(NamedTuple):
     """A :meth:`Rendezvous.arrive` decision that times its own release:
     the release comes ``delay`` later than it would otherwise,
-    ``action()`` runs at the release instant, before any member
-    resumes, and every member returns None (no member keeps the
+    ``action()`` (unless None) runs at the release instant, before any
+    member resumes, and every member returns None (no member keeps the
     action, nor what it references, once released)."""
 
     delay: float
-    action: Callable[[], None]
+    action: Optional[Callable[[], None]]
 
 
 class Rendezvous:

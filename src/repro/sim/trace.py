@@ -10,7 +10,6 @@ get performed one network operation, not two (pointer cache hit)".
 from __future__ import annotations
 
 import dataclasses
-import json
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set
 
 
@@ -82,21 +81,6 @@ class Tracer:
         if not matches:
             raise LookupError(f"no trace records for {category}/{name}")
         return matches[-1]
-
-    def to_jsonl(self) -> str:
-        """Every record as one JSON object per line (payload values are
-        stringified; they may hold arbitrary objects)."""
-        return "\n".join(
-            json.dumps(
-                {
-                    "time": r.time,
-                    "category": r.category,
-                    "name": r.name,
-                    "payload": {k: str(v) for k, v in r.payload.items()},
-                }
-            )
-            for r in self.records
-        )
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)

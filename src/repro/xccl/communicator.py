@@ -12,8 +12,9 @@ two-level hierarchical decomposition for multi-node large messages —
 auto-selected per launch from the communicator's
 :class:`~repro.xccl.topo.CommTopology` and the message size, or forced
 via ``algo=`` for ablations.  Data application is real numpy
-arithmetic for real buffers at the completion instant, identical for
-every algorithm (contributions are always combined in slot order, so
+arithmetic at the completion instant when every buffer of the call is
+real (any virtual buffer makes it timing only), identical for every
+algorithm (contributions are always combined in slot order, so
 results are bit-identical across algorithms).
 
 A collective call arrives at the communicator's
@@ -21,11 +22,11 @@ A collective call arrives at the communicator's
 number; every member then completes together at the modelled time —
 the same externally observable semantics as a stream-synchronized NCCL
 call.  The last arrival checks, over every member, that all called the
-same op with the same size and forced algorithm: a disagreement (or an
-unknown forced algorithm) raises one error, grouping the members by
-what they passed, on every member.  Data is applied at the release
-instant, before any member resumes; members resume in the
-Rendezvous's order (the last arrival first).
+same op with the same size, forced algorithm, root, dtype and
+reduction op: a disagreement (or an unknown forced algorithm) raises
+one error, grouping the members by what they passed, on every member.
+Data is applied at the release instant, before any member resumes;
+members resume in the Rendezvous's order (the last arrival first).
 """
 
 from __future__ import annotations
@@ -64,12 +65,26 @@ class _CommState:
     sel_cache: Dict[tuple, Selection] = dataclasses.field(default_factory=dict)
 
 
-#: the call fields every member must agree on: (phrase, formatter)
+#: the call fields every member must agree on, in the order of the call
+#: tuple: (phrase, formatter).  ``root`` is None for rootless
+#: collectives, ``dtype`` and ``op`` for non-reductions; ``op`` is
+#: compared by ``__name__``, so per-rank closures of one function agree.
 _AGREEMENT = (
     ("collective", str),
     ("size", "{} bytes".format),
     ("algorithm", lambda algo: "auto" if algo is None else repr(algo)),
+    ("root", str),
+    ("dtype", str),
+    ("op", str),
 )
+
+
+def _fold(op: Callable, dtype: np.dtype, parts: List[MemRef]) -> np.ndarray:
+    """``op`` applied over ``parts`` (in slot order) into a new array."""
+    total = parts[0].typed(dtype).copy()
+    for part in parts[1:]:
+        total = op(total, part.typed(dtype))
+    return total
 
 
 def _disagreement(seq: int, arrivals: Dict[int, dict]) -> CommunicationError:
@@ -224,17 +239,24 @@ class XcclComm:
         nbytes: int,
         arrival: dict,
         apply_fn: Callable[[Dict[int, dict]], None],
-        algo: Optional[str] = None,
+        algo: Optional[str],
+        root: Optional[int] = None,
+        dtype: Optional[np.dtype] = None,
+        reduce_op: Optional[Callable] = None,
     ) -> None:
         """Arrive at this handle's next collective.  The last arrival
-        checks that every member called the same op, size and forced
-        algorithm, and selects the algorithm; all members leave together
-        once it completes, with ``apply_fn`` run at that instant."""
+        checks that every member called the same op, size, forced
+        algorithm, root, dtype and reduction op (see ``_AGREEMENT``),
+        and selects the algorithm; all members leave together once it
+        completes, with ``apply_fn`` run at that instant when every
+        member's buffers are real."""
         ctx = self.ctx
         state = self._state
         seq = self._op_seq
         self._op_seq += 1
-        arrival["call"] = (op, nbytes, algo)
+        arrival["call"] = (
+            op, nbytes, algo, root, dtype, getattr(reduce_op, "__name__", reduce_op)
+        )
         ctx._launches_by.inc((op, ctx.params.name, state.ndev))
 
         def decide(arrivals: Dict[int, dict]) -> Release:
@@ -245,14 +267,12 @@ class XcclComm:
             ctx._m_algo.inc(**labels)
             ctx._m_wire.inc(state.ndev * sum(ph.wire_bytes for ph in sel.phases), **labels)
             self._record_phases(sel, ctx.world.sim.now)
+            refs = [r for a in arrivals.values() for k, r in a.items() if k != "call"]
+            if any(r is not None and r.is_virtual for r in refs):
+                return Release(sel.seconds, None)
             return Release(sel.seconds, lambda: apply_fn(arrivals))
 
         state.points.arrive(seq, self.dev_rank, arrival, state.ndev, decide)
-
-    @staticmethod
-    def _all_real(arrivals: Dict[int, dict], *keys: str) -> bool:
-        refs = [a[k] for a in arrivals.values() for k in keys if a.get(k) is not None]
-        return all(not r.is_virtual for r in refs)
 
     # -- collectives -------------------------------------------------------------
 
@@ -270,17 +290,13 @@ class XcclComm:
         dtype = np.dtype(dtype)
 
         def apply(arrivals: Dict[int, dict]) -> None:
-            if not self._all_real(arrivals, "send", "recv"):
-                return
-            total = None
-            for i in range(self.ndev):
-                contrib = arrivals[i]["send"].typed(dtype)
-                total = contrib.copy() if total is None else op(total, contrib)
+            total = _fold(op, dtype, [arrivals[i]["send"] for i in range(self.ndev)])
             for i in range(self.ndev):
                 arrivals[i]["recv"].typed(dtype)[:] = total
 
         self._collective(
-            "all_reduce", send.nbytes, {"send": send, "recv": recv}, apply, algo=algo
+            "all_reduce", send.nbytes, {"send": send, "recv": recv}, apply, algo,
+            dtype=dtype, reduce_op=op,
         )
 
     def broadcast(
@@ -295,14 +311,12 @@ class XcclComm:
             raise CommunicationError(f"broadcast root {root} out of range")
 
         def apply(arrivals: Dict[int, dict]) -> None:
-            if not self._all_real(arrivals, "buf"):
-                return
             src = arrivals[root]["buf"]
             for i in range(self.ndev):
                 if i != root:
                     arrivals[i]["buf"].copy_from(src)
 
-        self._collective("broadcast", buf.nbytes, {"buf": buf}, apply, algo=algo)
+        self._collective("broadcast", buf.nbytes, {"buf": buf}, apply, algo, root=root)
 
     def reduce(
         self,
@@ -321,19 +335,13 @@ class XcclComm:
         dtype = np.dtype(dtype)
 
         def apply(arrivals: Dict[int, dict]) -> None:
-            if not self._all_real(arrivals, "send"):
-                return
-            root_recv = arrivals[root].get("recv")
-            if root_recv is None or root_recv.is_virtual:
-                return
-            total = None
-            for i in range(self.ndev):
-                contrib = arrivals[i]["send"].typed(dtype)
-                total = contrib.copy() if total is None else op(total, contrib)
-            root_recv.typed(dtype)[:] = total
+            parts = [arrivals[i]["send"] for i in range(self.ndev)]
+            arrivals[root]["recv"].typed(dtype)[:] = _fold(op, dtype, parts)
 
+        # Only the root's receive buffer takes part (and must be real).
+        arrival = {"send": send, "recv": recv if self.dev_rank == root else None}
         self._collective(
-            "reduce", send.nbytes, {"send": send, "recv": recv}, apply, algo=algo
+            "reduce", send.nbytes, arrival, apply, algo, root=root, dtype=dtype, reduce_op=op
         )
 
     def all_gather(
@@ -347,8 +355,6 @@ class XcclComm:
             )
 
         def apply(arrivals: Dict[int, dict]) -> None:
-            if not self._all_real(arrivals, "send", "recv"):
-                return
             block = send.nbytes
             for i in range(self.ndev):
                 src = arrivals[i]["send"]
@@ -356,7 +362,7 @@ class XcclComm:
                     arrivals[j]["recv"].slice(i * block, block).copy_from(src)
 
         self._collective(
-            "all_gather", send.nbytes, {"send": send, "recv": recv}, apply, algo=algo
+            "all_gather", send.nbytes, {"send": send, "recv": recv}, apply, algo
         )
 
     def reduce_scatter(
@@ -376,22 +382,14 @@ class XcclComm:
         dtype = np.dtype(dtype)
 
         def apply(arrivals: Dict[int, dict]) -> None:
-            if not self._all_real(arrivals, "send", "recv"):
-                return
             block = recv.nbytes
             for j in range(self.ndev):
-                total = None
-                for i in range(self.ndev):
-                    contrib = arrivals[i]["send"].slice(j * block, block).typed(dtype)
-                    total = contrib.copy() if total is None else op(total, contrib)
-                arrivals[j]["recv"].typed(dtype)[:] = total
+                parts = [arrivals[i]["send"].slice(j * block, block) for i in range(self.ndev)]
+                arrivals[j]["recv"].typed(dtype)[:] = _fold(op, dtype, parts)
 
         self._collective(
-            "reduce_scatter",
-            recv.nbytes * self.ndev,
-            {"send": send, "recv": recv},
-            apply,
-            algo=algo,
+            "reduce_scatter", recv.nbytes * self.ndev, {"send": send, "recv": recv}, apply,
+            algo, dtype=dtype, reduce_op=op,
         )
 
     def alltoall(self, send: MemRef, recv: MemRef, algo: Optional[str] = None) -> None:
@@ -406,8 +404,6 @@ class XcclComm:
             )
 
         def apply(arrivals: Dict[int, dict]) -> None:
-            if not self._all_real(arrivals, "send", "recv"):
-                return
             block = send.nbytes // self.ndev
             for i in range(self.ndev):
                 src = arrivals[i]["send"]
@@ -417,5 +413,5 @@ class XcclComm:
                     )
 
         self._collective(
-            "alltoall", send.nbytes, {"send": send, "recv": recv}, apply, algo=algo
+            "alltoall", send.nbytes, {"send": send, "recv": recv}, apply, algo
         )

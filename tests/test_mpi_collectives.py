@@ -258,3 +258,126 @@ class TestCountMismatch:
             CommunicationError, match="message of 64 bytes overflows receive buffer of 32 bytes"
         ):
             run_spmd(w, prog)
+
+
+class TestBcastCount:
+    """A root passing a smaller count than the other ranks is caught by
+    the receivers it reaches, instead of leaving stale tails."""
+
+    @pytest.mark.parametrize("count", [4, 256 * KiB])  # binomial, van de Geijn
+    def test_smaller_root_count_raises(self, count):
+        w, mpi = make_mpi(nodes=1)
+
+        def prog(ctx):
+            data = np.full(count // 2 if ctx.rank == 2 else count, 2.0)
+            coll.bcast(mpi.comm_world(ctx.rank), href(ctx, data), root=2)
+
+        with pytest.raises(
+            CommunicationError, match=r"bcast root 2 sent \d+ bytes where rank \d expects \d+"
+        ):
+            run_spmd(w, prog)
+
+
+#: mpi_collective_latency on 2 platform-A nodes (8 ranks), reps=2 after
+#: one warm-up, as float.hex.  The sizes sit on each side of both
+#: algorithm switches (bcast_long_threshold 512 KiB,
+#: allreduce_long_threshold 256 KiB), eager and rendezvous.
+PINNED_LATENCY = {
+    ("bcast", 1 * KiB): "0x1.278b1c11ceb2cp-17",
+    ("bcast", 128 * KiB): "0x1.ac82115385e75p-15",
+    ("bcast", 384 * KiB): "0x1.bdec786c73124p-14",
+    ("bcast", 1 * MiB): "0x1.5344773ae0c8ap-13",
+    ("allreduce", 1 * KiB): "0x1.db52f1e84fb1bp-17",
+    ("allreduce", 128 * KiB): "0x1.ac954f236b314p-15",
+    ("allreduce", 384 * KiB): "0x1.ee6e49b06971ap-14",
+    ("allreduce", 1 * MiB): "0x1.10f120c055e90p-12",
+}
+
+
+class TestPinnedTimings:
+    @pytest.mark.parametrize("op,size", sorted(PINNED_LATENCY))
+    def test_collective_latency_is_pinned(self, op, size):
+        from repro.bench.collective import mpi_collective_latency
+
+        t = mpi_collective_latency(platform_a(), 2, op, size, reps=2, warmup=1)
+        assert t.hex() == PINNED_LATENCY[(op, size)]
+
+
+class TestRealEqualsVirtual:
+    """Reductions price the caller's buffers whether or not they hold
+    data: real and virtual runs take the same per-rank time, and the
+    real run computes numpy's answer."""
+
+    def _run(self, kind, size, virtual, ranks_per_node):
+        nodes = 2 if ranks_per_node == 2 else 1
+        w = World(platform_a(with_quirk=False), num_nodes=nodes, ranks_per_node=ranks_per_node)
+        mpi = MpiWorld(w)
+        count = size // 8
+        out = {}
+
+        def prog(ctx):
+            comm = mpi.comm_world(ctx.rank)
+            send = MemRef.device(ctx.device.malloc(size, virtual=virtual))
+            recv = MemRef.device(ctx.device.malloc(size, virtual=virtual))
+            if not virtual:
+                send.typed(np.float64)[:] = np.arange(count) * (ctx.rank + 1) + 0.25
+            coll.barrier(comm)
+            t0 = ctx.sim.now
+            if kind == "allreduce":
+                coll.allreduce(comm, send, recv, np.float64)
+            else:
+                coll.reduce(comm, send, recv if ctx.rank == 0 else None, np.float64)
+            if not virtual and (kind == "allreduce" or ctx.rank == 0):
+                out[ctx.rank] = recv.typed(np.float64).copy()
+            return ctx.sim.now - t0
+
+        times = run_spmd(w, prog).results
+        return times, out, w.nranks
+
+    @pytest.mark.parametrize(
+        "kind,size,ranks_per_node",
+        [
+            ("allreduce", 1 * KiB, 2),  # recursive doubling, 2x2 ranks
+            ("allreduce", 8 * MiB, 2),  # Rabenseifner, 2x2 ranks
+            ("allreduce", 1 * KiB, 3),  # recursive doubling, 3-rank fold
+            ("allreduce", 8 * MiB, 3),  # Rabenseifner, 3 ranks
+            ("reduce", 8 * MiB, 2),
+        ],
+    )
+    def test_real_and_virtual_price_alike(self, kind, size, ranks_per_node):
+        real, out, nranks = self._run(kind, size, False, ranks_per_node)
+        virtual, _, _ = self._run(kind, size, True, ranks_per_node)
+        assert [t.hex() for t in real] == [t.hex() for t in virtual]
+        contribs = [np.arange(size // 8) * (r + 1) + 0.25 for r in range(nranks)]
+        expected = np.sum(contribs, axis=0)
+        assert sorted(out) == (list(range(nranks)) if kind == "allreduce" else [0])
+        for got in out.values():
+            np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["allreduce", "reduce"])
+    def test_mixed_real_and_virtual_rejected(self, kind):
+        w, mpi = make_mpi(nodes=1)
+
+        def prog(ctx):
+            send = MemRef.device(ctx.device.malloc(64))
+            recv = MemRef.device(ctx.device.malloc(64, virtual=True))
+            comm = mpi.comm_world(ctx.rank)
+            if kind == "allreduce":
+                coll.allreduce(comm, send, recv, np.float64)
+            else:
+                coll.reduce(comm, send, recv, np.float64)
+
+        with pytest.raises(CommunicationError, match="real and virtual"):
+            run_spmd(w, prog)
+
+    def test_allreduce_size_must_divide_into_items(self):
+        w, mpi = make_mpi(nodes=1)
+
+        def prog(ctx):
+            buf = ctx.device.malloc(300 * KiB + 4, virtual=True)
+            coll.allreduce(
+                mpi.comm_world(ctx.rank), MemRef.device(buf), MemRef.device(buf), np.float64
+            )
+
+        with pytest.raises(CommunicationError, match="not a multiple of float64 itemsize"):
+            run_spmd(w, prog)

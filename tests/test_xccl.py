@@ -517,12 +517,29 @@ def _mismatch(odd):
         else:
             comm.all_reduce(buf, MemRef.device(rc.device.malloc(8)))
 
+    def rooted(comm, rc):
+        buf = MemRef.device(rc.device.malloc(8))
+        comm.broadcast(buf, root=1 if rc.rank == odd else 0)
+
+    def typed(comm, rc):
+        send = MemRef.device(rc.device.malloc(8))
+        dtype = np.int64 if rc.rank == odd else np.float64
+        comm.all_reduce(send, MemRef.device(rc.device.malloc(8)), dtype=dtype)
+
+    def reduction(comm, rc):
+        send = MemRef.device(rc.device.malloc(8))
+        fn = np.maximum if rc.rank == odd else np.add
+        comm.reduce(send, MemRef.device(rc.device.malloc(8)), root=0, op=fn)
+
     rest = [r for r in range(4) if r != odd]
     at = "mismatch at sequence 1:"
     return {
         "size": (sized, f"size {at} 16 bytes from [{odd}], 8 bytes from {rest}"),
         "algorithm": (forced, f"algorithm {at} 'ring' from [{odd}], auto from {rest}"),
         "op": (op, f"collective {at} broadcast from [{odd}], all_reduce from {rest}"),
+        "root": (rooted, f"root {at} 1 from [{odd}], 0 from {rest}"),
+        "dtype": (typed, f"dtype {at} int64 from [{odd}], float64 from {rest}"),
+        "reduction": (reduction, f"op {at} maximum from [{odd}], add from {rest}"),
     }
 
 
@@ -550,10 +567,30 @@ class TestAgreementOnEveryMember:
         return errors[0]
 
     @pytest.mark.parametrize("odd", [0, 2])
-    @pytest.mark.parametrize("field", ["size", "algorithm", "op"])
+    @pytest.mark.parametrize(
+        "field", ["size", "algorithm", "op", "root", "dtype", "reduction"]
+    )
     def test_disagreement_raises_on_every_member(self, field, odd):
         call, expected = _mismatch(odd)[field]
         assert self._errors(call).startswith(expected)
+
+    def test_per_rank_closures_of_one_op_agree(self):
+        """Reduction ops are compared by name, so each rank may build
+        its own closure of the same function."""
+        w, ctx = make_ctx(nodes=1)
+        uid = UniqueId.create()
+        out = {}
+
+        def prog(rc):
+            comm = XcclComm.init_rank(ctx, uid, rc.rank, w.nranks, rc.device)
+            send = MemRef.device(rc.device.malloc(8))
+            send.typed(np.float64)[:] = rc.rank + 1.0
+            recv = MemRef.device(rc.device.malloc(8))
+            comm.all_reduce(send, recv, op=lambda a, b: a * b)
+            out[rc.rank] = recv.typed(np.float64)[0]
+
+        run_spmd(w, prog)
+        assert out == {r: 24.0 for r in range(w.nranks)}
 
     def test_unknown_forced_algorithm_raises_on_every_member(self):
         def call(comm, rc):
