@@ -14,6 +14,7 @@ depends on.  :class:`GlobalBuffer` is the user-visible handle.
 from __future__ import annotations
 
 import functools
+import mmap
 from typing import Optional
 
 from repro.cluster.memref import MemRef
@@ -150,6 +151,12 @@ class HostSegment:
     A numpy arena registered once with the conduit.  Offsets into it
     come from the runtime's one host heap, so they agree across ranks
     just as device symmetric offsets do.
+
+    Each arena is its own anonymous mapping, whose pages read as zero
+    and become resident on first touch: a rank pays memory and zeroing
+    only for the pages it uses.  (One mapping per runtime would put a
+    whole world's segments in one allocation, which fails at hundreds
+    of ranks with large segments.)
     """
 
     def __init__(self, node: int, size: int) -> None:
@@ -157,7 +164,7 @@ class HostSegment:
 
         self.node = node
         self.size = size
-        self.arena = np.zeros(size, dtype=np.uint8)
+        self.arena = np.frombuffer(mmap.mmap(-1, size), dtype=np.uint8)
         #: synthetic base address assigned at conduit registration
         self.base: Optional[int] = None
         self.conduit_segment = None

@@ -324,6 +324,8 @@ class Communicator:
             if recv.memref.is_virtual:
                 raise CommunicationError("real payload received into virtual buffer")
             recv.memref.view()[: envelope.nbytes] = np.frombuffer(data, dtype=np.uint8)
+        elif not recv.memref.is_virtual:
+            raise CommunicationError("virtual payload received into real buffer")
         recv.future.fire((envelope.source, envelope.tag, envelope.nbytes))
 
     def _start_rendezvous_payload(

@@ -34,15 +34,18 @@ from typing import Any, Dict
 
 
 class EngineProfiler:
-    """Wall-clock accounting of the discrete-event scheduler loop.
+    """Wall-clock accounting of the discrete-event scheduler.
 
     Counts retired events and splits the wall time spent inside
     :meth:`~repro.sim.core.Simulator.run` into three phases:
 
-    * ``task`` — simulated task execution (between handing a task
-      control and getting it back),
-    * ``callback`` — scheduler-context ``call_later`` callbacks,
-    * ``scheduler`` — everything else (heap operations, dispatch).
+    * ``task`` — one slice per task resume: from handing the task
+      control (the switch into its thread included) until it blocks
+      or finishes,
+    * ``callback`` — ``call_later`` callbacks, on whichever thread is
+      dispatching,
+    * ``scheduler`` — everything else: queue work and dispatch on the
+      thread giving control up, and the hand-back to ``run()``.
 
     Accumulates across multiple ``run(until=...)`` slices.
     """

@@ -6,30 +6,49 @@ The simulator is a classic event-queue kernel with one twist: simulated
 *tasks* are real Python threads.  This lets user programs (MPI ranks,
 DiOMP ranks, runtime daemons) be written as ordinary blocking Python
 functions — nested calls, loops, exceptions — without generator/yield
-plumbing.  Determinism is preserved because the scheduler hands control
-to exactly one thread at a time and wake order is the strict total
-order ``(time, sequence_number)``.
+plumbing.  Determinism is preserved because exactly one thread holds
+control at a time and wake order is the strict total order
+``(time, sequence_number)``.
 
-Control handoff protocol.  Each side parks on its own *gate*, a raw
-``_thread`` lock that is held while nobody is waking it: parking is
-``gate.acquire()``, waking the other side is ``gate.release()``::
+Control hand-off: baton passing.  Control is held either by one task
+thread or by the thread that called :meth:`Simulator.run`.  Each parks
+on its own *gate*, a raw ``_thread`` lock that is held while nobody is
+waking it: parking is ``gate.acquire()``, waking is ``gate.release()``.
+There is no dispatch thread.  The thread that gives control up — a task
+that blocks or finishes, or ``run()`` at start — dispatches itself: it
+retires callbacks in ``(time, seq)`` order up to the next task resume,
+then releases that task's gate and parks on its own::
 
-    scheduler                           task thread
-    ---------                           -----------
-    pop event (t, seq, resume T)
-    now = t; _current = T
-    T._gate.release()  ───────────────► returns from _block()/starts fn
-    _sched_gate.acquire()  (parks)      ... runs simulated code ...
-                                        blocks: state=BLOCKED
-                                        _current = None
-    ◄───────────────  _sched_gate.release()
-    continue loop                       T._gate.acquire()  (parks)
+    task A                              task B (parked in _block)
+    ------                              ------
+    blocks: state=BLOCKED
+    _current = None
+    runs due callbacks
+    pop event (t, seq, resume B)
+    now = t; _current = B
+    B._gate.release()  ───────────────► returns from _block()
+    A._gate.acquire()  (parks)          ... runs simulated code ...
 
-Only the scheduler **or** the single running task ever touches
-simulator state, so no further locking is needed.  A gate is released
-exactly once per park (a second ``release`` raises): only the task
-that holds control hands it back, so the threads that :meth:`close`
-unblocks all at once die without touching the scheduler gate.
+One park therefore costs one thread switch, and none when the blocking
+task's own resume is next: it returns from :meth:`Simulator._block`
+without parking.  Control goes back to the ``run()`` thread, on its own
+gate, when the queue drains, the ``until`` deadline is reached, a task
+fails with no live joiner, or a callback raises; that thread then
+returns, reports a deadlock, or raises the error.  Only the thread
+holding control touches simulator state, so no further locking is
+needed.  A gate is released exactly once per park (a second
+``release`` raises): only the holder of control hands it on, so the
+threads that :meth:`Simulator.close` unblocks all at once die without
+touching another gate.
+
+Task threads start lazily on first resume, with
+``_thread.start_new_thread``: starting the thread *is* handing it
+control, so there is no ``threading.Thread`` object and no start
+handshake.  Building a world never pays OS-thread cost for ranks that
+a bounded run or an early abort never reaches.  Task threads install
+the hooks set with ``threading.setprofile``/``settrace``, and an
+exception escaping one reaches ``threading.excepthook``, as on a
+``threading.Thread``.
 
 Scalability (1024+ ranks): SPMD programs generate large bursts of
 events at identical timestamps — every barrier release, collective
@@ -37,10 +56,8 @@ completion, and launch wave resumes the whole world at one instant.
 The event queue is therefore a *calendar* of per-timestamp FIFO
 buckets ordered by a heap of distinct times: a same-time burst costs
 one heap operation total instead of one ``heappush``/``heappop`` pair
-per member, and the scheduler drains a whole bucket back-to-back
-without re-consulting the heap.  Task threads start lazily on first
-resume, so building a world never pays OS-thread cost for ranks that
-a bounded run or an early abort never reaches.
+per member, and dispatch drains a whole bucket before re-consulting
+the heap.
 
 Error handling: an exception escaping a task is delivered to the
 tasks joining it at that moment (their ``join()`` raises it); if no
@@ -55,12 +72,25 @@ import collections
 import enum
 import heapq
 import itertools
+import sys
 import threading
-from _thread import allocate_lock
+from _thread import allocate_lock, get_ident, start_new_thread
 from time import perf_counter
 from typing import Any, Callable, List, Optional
 
 from repro.util.errors import DeadlockError, SimulationError
+
+if hasattr(threading, "getprofile"):  # Python 3.10+
+
+    def _thread_hooks() -> tuple:
+        """The (profile, trace) hooks set for new threads."""
+        return threading.getprofile(), threading.gettrace()
+
+else:  # pragma: no cover - Python 3.9
+
+    def _thread_hooks() -> tuple:
+        """The (profile, trace) hooks set for new threads."""
+        return threading._profile_hook, threading._trace_hook
 
 
 class _Kill(BaseException):
@@ -89,13 +119,32 @@ class TaskState(enum.Enum):
     KILLED = "killed"
 
 
+class _TaskThread:
+    """The OS thread a task runs on.
+
+    ``done`` is held until the thread is finished with the simulator;
+    :meth:`Simulator.close` joins through it.
+    """
+
+    __slots__ = ("name", "ident", "done")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        #: set by the thread itself as its first act
+        self.ident: Optional[int] = None
+        self.done = _held_lock()
+
+    def is_alive(self) -> bool:
+        return self.done.locked()
+
+
 class Task:
     """A simulated thread of control.
 
-    Created via :meth:`Simulator.spawn`.  The wrapped function runs on a
-    daemon thread; its return value is available as :attr:`result` once
-    :attr:`state` is :attr:`TaskState.DONE`, and other tasks can block
-    on completion with :meth:`join`.
+    Created via :meth:`Simulator.spawn`.  The wrapped function runs on
+    its own OS thread; its return value is available as :attr:`result`
+    once :attr:`state` is :attr:`TaskState.DONE`, and other tasks can
+    block on completion with :meth:`join`.
     """
 
     def __init__(
@@ -118,31 +167,37 @@ class Task:
         self._kwargs = kwargs
         self._wake_value: Any = None
         self._kill = False
-        #: held while the task is parked; the scheduler releases it to
-        #: hand the task control (see the module docstring)
+        #: held while the task is parked; released to hand the task
+        #: control (see the module docstring)
         self._gate = _held_lock()
         self._join_waiters: List[Any] = []  # Futures fired on completion
         #: True once the task's error was raised in at least one live
         #: joiner — a delivered error is handled there, not by run()
         self._error_delivered = False
-        #: created lazily on first resume (see Simulator._give_control)
-        self._thread: Optional[threading.Thread] = None
+        #: created on first resume (see Simulator._switch)
+        self._thread: Optional[_TaskThread] = None
 
-    # -- scheduler side ----------------------------------------------------
+    # -- thread side -------------------------------------------------------
 
-    def _start_thread(self) -> None:
-        self._thread = threading.Thread(
-            target=self._thread_body, name=f"sim:{self.name}", daemon=True
-        )
-        self._thread.start()
-
-    def _thread_body(self) -> None:
-        # Park until the scheduler gives us control for the first time.
-        self._gate.acquire()
-        sim = self.sim
+    def _thread_main(self) -> None:
+        thread = self._thread
+        thread.ident = get_ident()
+        profile, trace = _thread_hooks()
+        if trace is not None:
+            sys.settrace(trace)
+        if profile is not None:
+            sys.setprofile(profile)
         try:
-            if self._kill:
-                raise _Kill()
+            self._run()
+        except BaseException:  # noqa: BLE001 - reported as threading.Thread would
+            exc_type, exc, tb = sys.exc_info()
+            threading.excepthook(threading.ExceptHookArgs((exc_type, exc, tb, thread)))
+        finally:
+            thread.done.release()
+
+    def _run(self) -> None:
+        # Starting the thread handed this task control.
+        try:
             self.state = TaskState.RUNNING
             self.result = self._fn(*self._args, **self._kwargs)
             self.state = TaskState.DONE
@@ -151,14 +206,11 @@ class Task:
         except BaseException as exc:  # noqa: BLE001 - recorded, re-raised by run()
             self.error = exc
             self.state = TaskState.FAILED
-        finally:
+        if self.sim._current is self:
+            self.sim._task_finished(self)
+        else:
+            # Killed by close(): this thread does not hold control.
             self._finish_waiters()
-            # Hand control back only if this task holds it: tasks that
-            # close() kills all at once are not the current task, and
-            # the scheduler is not parked on its gate then.
-            if sim._current is self:
-                sim._current = None
-                sim._sched_gate.release()
 
     def _finish_waiters(self) -> None:
         """Complete the join futures according to the final state."""
@@ -255,7 +307,7 @@ class Simulator:
         self.now: float = 0.0
         #: optional engine self-profiler (duck-typed:
         #: :class:`repro.obs.selfprof.EngineProfiler`); accounts host
-        #: wall-clock per scheduler event when enabled
+        #: wall-clock per task slice and per callback when enabled
         self.profiler = profiler if profiler is not None and getattr(
             profiler, "enabled", True
         ) else None
@@ -268,10 +320,16 @@ class Simulator:
         self._times: list = []  # heap of distinct pending timestamps
         self._buckets: dict = {}  # time -> deque of (seq, kind, payload)
         self._tasks: List[Task] = []
+        #: the task holding control (None while dispatching)
         self._current: Optional[Task] = None
-        #: held while the scheduler is parked waiting for the running
-        #: task to block or finish
-        self._sched_gate = _held_lock()
+        #: held while the run() thread is parked waiting for control
+        self._run_gate = _held_lock()
+        #: deadline of the active run() call
+        self._until: Optional[float] = None
+        #: (error, close first) for run() to raise when it gets control
+        self._exit: Optional[tuple] = None
+        #: host time the current task slice started (profiled runs)
+        self._slice_t0 = 0.0
         self._in_run = False
         self._closed = False
         #: double-completions suppressed by deferred Future fire/fail
@@ -294,11 +352,11 @@ class Simulator:
         bucket.append((next(self._seq), kind, payload))
 
     def call_later(self, delay: float, fn: Callable[[], Any]) -> None:
-        """Run ``fn()`` on the scheduler at ``now + delay``.
+        """Run ``fn()`` in scheduler context at ``now + delay``.
 
-        The callback runs in scheduler context and must not block; use it
-        to fire :class:`~repro.sim.sync.Future` objects or schedule more
-        work.
+        The callback runs between task slices, on whichever thread is
+        dispatching, and must not block; use it to fire
+        :class:`~repro.sim.sync.Future` objects or schedule more work.
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
@@ -336,16 +394,22 @@ class Simulator:
         point through which every blocking primitive is built.
         """
         task = self._current
-        if task is None or threading.current_thread() is not task._thread:
+        if task is None or task._thread.ident != get_ident():
             raise SimulationError(
                 "blocking simulation primitive called outside a simulated task"
             )
+        if task._kill:  # close() was called from this task
+            raise _Kill()
         task.state = TaskState.BLOCKED
         task.wait_reason = reason
         self.parks += 1
         self._current = None
-        self._sched_gate.release()
-        task._gate.acquire()
+        if self.profiler is not None:
+            self.profiler.account_task(perf_counter() - self._slice_t0)
+        nxt = self._dispatch()
+        if nxt is not task:
+            self._switch(nxt)
+            task._gate.acquire()
         if task._kill:
             raise _Kill()
         task.state = TaskState.RUNNING
@@ -368,18 +432,79 @@ class Simulator:
         self._push(self.now + duration, "resume", task)
         self._block(f"sleep({duration:g})")
 
-    # -- scheduler loop -----------------------------------------------------
+    # -- dispatch (on the thread giving up control) ----------------------------
 
-    def _give_control(self, task: Task) -> None:
-        self._current = task
-        if task._thread is None:
-            task._start_thread()
-        task._gate.release()
-        self._sched_gate.acquire()
+    def _dispatch(self) -> Optional[Task]:
+        """Retire callbacks in (time, seq) order up to the next task
+        resume and return that task, now current.  Return None when
+        control goes back to the ``run()`` thread: the queue drained,
+        the deadline was reached, or a callback raised (``_exit``)."""
+        prof = self.profiler
+        times = self._times
+        until = self._until
+        while times:
+            when = times[0]
+            if until is not None and when > until:
+                self.now = until
+                return None
+            self.now = when
+            # Drain the whole same-time bucket before the heap is
+            # consulted again.  Same-time events pushed meanwhile
+            # append to this bucket and run in this pass, in
+            # (time, seq) order.  A hand-off leaves the bucket in
+            # place; the next dispatch resumes it.
+            bucket = self._buckets[when]
+            while bucket:
+                _seq, kind, payload = bucket.popleft()
+                if kind == "resume":
+                    if payload.finished:
+                        continue  # task was killed/finished after scheduling
+                    self._current = payload
+                    if prof is not None:
+                        self._slice_t0 = perf_counter()
+                    return payload
+                try:
+                    if prof is None:
+                        payload()
+                    else:
+                        t0 = perf_counter()
+                        payload()
+                        prof.account_callback(perf_counter() - t0)
+                except BaseException as exc:  # noqa: BLE001 - raised by run()
+                    self._exit = (exc, False)
+                    return None
+            heapq.heappop(times)
+            del self._buckets[when]
+        return None
+
+    def _switch(self, task: Optional[Task]) -> None:
+        """Hand control to ``task``, or to the run() thread for None."""
+        if task is None:
+            self._run_gate.release()
+        elif task._thread is None:
+            task._thread = _TaskThread(f"sim:{task.name}")
+            try:
+                start_new_thread(task._thread_main, ())
+            except RuntimeError as exc:  # no thread could be started
+                task._thread = None
+                self._current = None
+                self._exit = (exc, True)
+                self._run_gate.release()
+        else:
+            task._gate.release()
+
+    def _task_finished(self, task: Task) -> None:
+        """The current task ended: complete its joiners and pass control
+        on (its thread exits afterwards)."""
+        self._current = None
+        task._finish_waiters()
         if task.state is TaskState.FAILED and not task._error_delivered:
-            err = task.error
-            self.close()
-            raise err
+            self._exit = (task.error, True)
+            self._switch(None)
+            return
+        if self.profiler is not None:
+            self.profiler.account_task(perf_counter() - self._slice_t0)
+        self._switch(self._dispatch())
 
     def run(self, until: Optional[float] = None) -> float:
         """Drive the simulation.
@@ -398,43 +523,21 @@ class Simulator:
         if self._in_run:
             raise SimulationError("run() is not reentrant")
         self._in_run = True
+        self._until = until
         prof = self.profiler
         run_t0 = perf_counter() if prof is not None else 0.0
         try:
-            while self._times:
-                when = self._times[0]
-                if until is not None and when > until:
-                    self.now = until
-                    return self.now
-                self.now = when
-                # Drain the whole same-time bucket back-to-back: one
-                # heap consultation per distinct timestamp, not per
-                # event.  Same-time events pushed during the drain
-                # append to this bucket and run in this pass (matching
-                # the old (time, seq) heap order exactly).
-                bucket = self._buckets[when]
-                while bucket:
-                    _seq, kind, payload = bucket.popleft()
-                    if kind == "resume":
-                        if payload.finished:
-                            continue  # task was killed/finished after scheduling
-                        if prof is None:
-                            self._give_control(payload)
-                        else:
-                            t0 = perf_counter()
-                            self._give_control(payload)
-                            prof.account_task(perf_counter() - t0)
-                    elif kind == "call":
-                        if prof is None:
-                            payload()
-                        else:
-                            t0 = perf_counter()
-                            payload()
-                            prof.account_callback(perf_counter() - t0)
-                    else:  # pragma: no cover - internal invariant
-                        raise SimulationError(f"unknown event kind {kind!r}")
-                heapq.heappop(self._times)
-                del self._buckets[when]
+            nxt = self._dispatch()
+            if nxt is not None:
+                self._switch(nxt)
+                self._run_gate.acquire()
+            if self._exit is not None:
+                (error, close), self._exit = self._exit, None
+                if close:
+                    self.close()
+                raise error
+            if self._times:
+                return self.now  # the next event lies beyond the deadline
             blocked = [t for t in self._tasks if t.state is TaskState.BLOCKED]
             if blocked:
                 detail = "; ".join(f"{t.name}: {t.wait_reason}" for t in blocked)
@@ -457,10 +560,13 @@ class Simulator:
 
         Idempotent.  Called automatically when :meth:`run` completes or
         a task fails; call it manually after a bounded ``run(until=...)``.
+        Called from a task, it returns at once, and that task dies at
+        its next blocking call.
         """
         if self._closed:
             return
         self._closed = True
+        me = get_ident()
         for task in self._tasks:
             if task.finished:
                 continue
@@ -469,11 +575,13 @@ class Simulator:
                 # Lazily-started task that never got its first resume:
                 # there is no thread to unwind.
                 task.state = TaskState.KILLED
-                continue
-            task._gate.release()
+            elif task._thread.ident != me:
+                task._gate.release()
         for task in self._tasks:
-            if task._thread is not None:
-                task._thread.join(timeout=5.0)
+            thread = task._thread
+            if thread is not None and thread.ident != me:
+                if thread.done.acquire(timeout=5.0):
+                    thread.done.release()
 
     def __enter__(self) -> "Simulator":
         return self
@@ -483,10 +591,8 @@ class Simulator:
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         # AttributeError: __init__ failed part-way, or module globals
-        # are already gone at interpreter shutdown; RuntimeError: the
-        # collector ran on one of this simulator's own task threads,
-        # which cannot join itself.
+        # are already gone at interpreter shutdown.
         try:
             self.close()
-        except (AttributeError, RuntimeError):
+        except AttributeError:
             pass

@@ -124,6 +124,26 @@ class TestBlockingSendRecv:
         with pytest.raises(CommunicationError, match="overflow"):
             run_spmd(w, prog)
 
+    @pytest.mark.parametrize("recv_first", [True, False])
+    def test_virtual_payload_into_real_buffer_rejected(self, recv_first):
+        # An eager message from a virtual buffer carries no bytes; a
+        # real receive buffer would otherwise keep its stale contents.
+        w, mpi = make_mpi(nodes=1)
+
+        def prog(ctx):
+            comm = mpi.comm_world(ctx.rank)
+            if ctx.rank == 0:
+                if recv_first:
+                    ctx.sim.sleep(1e-3)
+                comm.send(MemRef.device(ctx.device.malloc(64, virtual=True)), dest=1)
+            elif ctx.rank == 1:
+                if not recv_first:
+                    ctx.sim.sleep(1e-3)
+                comm.recv(href(ctx, np.full(8, 7.0)), source=0)
+
+        with pytest.raises(CommunicationError, match="virtual payload received into real"):
+            run_spmd(w, prog)
+
 
 class TestWildcards:
     def test_any_source(self):

@@ -1,5 +1,6 @@
 """Tests for the discrete-event simulation kernel."""
 
+import _thread
 import threading
 
 import pytest
@@ -457,14 +458,14 @@ class TestLazyThreads:
         assert all(t.state is TaskState.DONE for t in tasks)
 
     def test_close_reaps_unstarted_tasks_without_threads(self):
-        import threading
-
+        # Task threads are raw _thread threads, which threading's own
+        # count does not see.
         sim = Simulator()
-        before = threading.active_count()
+        before = _thread._count()
         tasks = [sim.spawn(sim.sleep, 1.0) for _ in range(8)]
-        assert threading.active_count() == before  # spawn is thread-free
+        assert _thread._count() == before  # spawn is thread-free
         sim.close()
-        assert threading.active_count() == before
+        assert _thread._count() == before
         assert all(t.state is TaskState.KILLED for t in tasks)
         assert all(t._thread is None for t in tasks)
 

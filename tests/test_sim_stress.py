@@ -155,12 +155,12 @@ class TestSchedulerStress:
         assert sim.now == pytest.approx(10e-6)
 
     def test_many_simulators_sequentially_no_thread_leak(self):
-        import threading
+        import _thread  # counts task threads, which threading cannot see
 
-        baseline = threading.active_count()
+        baseline = _thread._count()
         for _ in range(30):
             sim = Simulator()
             sim.spawn(lambda: sim.sleep(1e-6))
             sim.run()
         # All task threads joined at close().
-        assert threading.active_count() <= baseline + 2
+        assert _thread._count() <= baseline + 2
