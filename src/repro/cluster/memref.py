@@ -113,11 +113,11 @@ class MemRef:
             raise CommunicationError(
                 f"size mismatch in copy: src={src.nbytes} dst={self.nbytes}"
             )
-        if self.is_virtual and src.is_virtual:
-            return
-        if self.is_virtual or src.is_virtual:
+        virtual = self.is_virtual
+        if virtual != src.is_virtual:
             raise CommunicationError("cannot copy between real and virtual memory")
-        self.view()[:] = src.view()
+        if not virtual:
+            self.view()[:] = src.view()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<MemRef {self.endpoint} +{self.offset} {self.nbytes}B>"

@@ -53,6 +53,9 @@ from repro.util.units import KiB
 #: buffer, or raw address
 RmaTarget = Union[GlobalBuffer, HostGlobalBuffer, AsymmetricBuffer, int]
 
+#: stream-operation label of an intra-node transfer, by op
+_STREAM_LABELS = {"put": "diomp-put", "get": "diomp-get"}
+
 
 @dataclasses.dataclass(frozen=True)
 class RmaAggregationParams:
@@ -118,6 +121,8 @@ class DiompRma:
         self._peer_enabled: Set[Tuple[object, object]] = set()
         # -- metrics (one registry per world; see repro.obs) --
         self._obs = diomp.runtime.obs
+        #: this rank's causal-trace track
+        self._track = f"rank{diomp.rank}"
         registry = self._obs.registry
         self._m_agg_batches = registry.counter(
             "rma.agg.batches", "flushed aggregation batches by op/reason/rank"
@@ -489,13 +494,13 @@ class DiompRma:
         # P2P arrows in the trace); the stream completion links back
         # onto our own track so a draining fence observes it.
         obs = self._obs
-        ctx = obs.capture(track=f"rank{diomp.rank}")
+        ctx = obs.capture(track=self._track)
         sim = world.sim
 
         def apply_copy() -> None:
             dst_ref.copy_from(src_ref)
             if ctx is not None and target_rank != diomp.rank:
-                obs.deliver(f"rma.deliver.{path_kind}", ctx, sim.now, rank=target_rank)
+                obs.deliver("rma.deliver.ipc", ctx, sim.now, rank=target_rank)
 
         def stream_done() -> None:
             if ctx is not None:
@@ -515,8 +520,10 @@ class DiompRma:
             )
 
         # The transfer occupies a pooled stream (the device DMA engine)
-        # for its unloaded duration; the fence drains both.
+        # for its unloaded duration; the fence drains both.  The
+        # estimate and the transfer share one memoized route.
         pool = diomp.pool_for_endpoint(local.endpoint)
+        label = _STREAM_LABELS[op]
         est = world.fabric.unloaded_time(
             src_ref.endpoint, dst_ref.endpoint, local.nbytes, operation=op
         )
@@ -524,7 +531,7 @@ class DiompRma:
         if plan is None:
             fut = issue()
             stream = pool.acquire()
-            stream.enqueue(est, on_complete=stream_done, label=f"diomp-{op}")
+            stream.enqueue(est, on_complete=stream_done, label=label)
         else:
             # Under fault injection the stream is acquired up front and
             # occupied from inside the issue closure: every retry
@@ -533,7 +540,7 @@ class DiompRma:
             stream = pool.acquire()
 
             def issue_attempt():
-                stream.enqueue(est, on_complete=stream_done, label=f"diomp-{op}")
+                stream.enqueue(est, on_complete=stream_done, label=label)
                 return issue()
 
             fut = RetryingOp(

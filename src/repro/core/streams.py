@@ -76,7 +76,7 @@ class StreamPool:
         self._obs = obs
         # Series by device (one per pool), resolved on first write and
         # keyed by the device's label string (cheap to hash).
-        self._device_label = str(device.device_id)
+        self._device_label = device.name
         if obs is not None:
             self._g_active = obs.gauge(
                 "streams.active", "live streams per device pool"
@@ -207,12 +207,13 @@ class StreamPool:
         completions together: each pass tests everything that is still
         pending, then waits for the *earliest* remaining completion
         rather than serializing on issue order.  An event's ``eta``
-        (set by the fabric) is its expected completion; events without
-        one sort last, which degrades to issue order when no ETA is
-        known.  A failed event is a terminal state like a fired one:
-        the loop drains everything, and the caller reports failures
-        from the events' ``error``.  Returns the number of poll
-        iterations (traced for the ablation bench).
+        (set by the fabric) is its expected completion.  Events are
+        sorted by it once, on entry (stably: ties keep issue order, and
+        events without one sort last), so an ETA a retry revises later
+        does not reorder the waits.  A failed event is a terminal state
+        like a fired one: the loop drains everything, and the caller
+        reports failures from the events' ``error``.  Returns the
+        number of poll iterations (traced for the ablation bench).
 
         The loop runs on the scheduler — each poll step is a
         ``call_later(poll_cost)``, each wait a done-callback on the
@@ -241,7 +242,7 @@ class StreamPool:
             def busy_streams() -> List[Stream]:
                 return [s for s in targets if not s.idle]
 
-        pending_events = [e for e in network_events if not e.fired]
+        pending_events = sorted((e for e in network_events if not e.fired), key=_eta)
         iterations = 0
         if pending_events or busy_streams():
             done = Future(sim, description="hybrid_fence")
@@ -263,7 +264,7 @@ class StreamPool:
                 next_stream = min(
                     pending_streams, key=_available_at, default=None
                 )
-                next_event = min(pending_events, key=_eta, default=None)
+                next_event = pending_events[0] if pending_events else None
                 if next_stream is not None and (
                     next_event is None
                     or next_stream.available_at <= _eta(next_event)

@@ -36,9 +36,11 @@ class Device:
             raise DeviceError(f"Device requires a gpu DeviceId, got {device_id}")
         self.sim = sim
         self.device_id = device_id
+        #: the device's label in stream names, traces and metrics
+        self.name = str(device_id)
         self.spec = spec
         self.tracer = tracer
-        self.memory = DeviceMemorySpace(spec.memory_bytes, device_name=str(device_id))
+        self.memory = DeviceMemorySpace(spec.memory_bytes, device_name=self.name)
         self.memory.device_id = device_id
         #: the device's current fault plan; streams read it live at
         #: draw time (see Stream.faults), so installs and per-tenant
@@ -47,7 +49,7 @@ class Device:
         #: analytic-rank mode (set by World.enable_analytic): every
         #: allocation is forced virtual — timing-only, no numpy backing
         self.analytic = False
-        self.default_stream = Stream(sim, device_name=str(device_id), faults_source=self)
+        self.default_stream = Stream(sim, device_name=self.name, faults_source=self)
         self.kernels_launched = 0
 
     # -- memory ------------------------------------------------------------
@@ -57,19 +59,19 @@ class Device:
         buf = self.memory.allocate(size, virtual=virtual or self.analytic, label=label)
         if self.tracer is not None:
             self.tracer.emit(
-                "device", "malloc", device=str(self.device_id), size=size, label=label
+                "device", "malloc", device=self.name, size=size, label=label
             )
         return buf
 
     def free(self, buf: DeviceBuffer) -> None:
         self.memory.free(buf)
         if self.tracer is not None:
-            self.tracer.emit("device", "free", device=str(self.device_id), size=buf.size)
+            self.tracer.emit("device", "free", device=self.name, size=buf.size)
 
     # -- streams and events -------------------------------------------------
 
     def create_stream(self) -> Stream:
-        return Stream(self.sim, device_name=str(self.device_id), faults_source=self)
+        return Stream(self.sim, device_name=self.name, faults_source=self)
 
     def create_event(self, name: str = "event") -> DeviceEvent:
         return DeviceEvent(self.sim, name=name)
@@ -98,7 +100,7 @@ class Device:
             self.tracer.emit(
                 "device",
                 "launch",
-                device=str(self.device_id),
+                device=self.name,
                 kernel=kernel.name,
                 duration=duration,
             )

@@ -90,7 +90,7 @@ class Stream:
         end = start + duration
         self.available_at = end
         self.ops_enqueued += 1
-        fut = Future(self.sim, description=f"{self.device_name}/s{self.stream_id}:{label}")
+        fut = Future(self.sim, description=lambda: f"{self.device_name}/s{self.stream_id}:{label}")
 
         def _complete() -> None:
             if on_complete is not None:

@@ -42,6 +42,10 @@ from repro.util.errors import CommunicationError
 from repro.util.units import MiB, US
 
 
+#: fault-plan site of a conduit transfer, by op
+_FAULT_SITES = {"put": "conduit.put", "get": "conduit.get"}
+
+
 @dataclasses.dataclass(frozen=True)
 class ConduitParams:
     """Calibration constants for a conduit's software stack.
@@ -220,6 +224,8 @@ class ConduitClient:
     def __init__(self, conduit: Conduit, rank: int) -> None:
         self.conduit = conduit
         self.rank = rank
+        #: this rank's causal-trace track
+        self._track = f"rank{rank}"
         self.segments: List[Segment] = []
         self._am_handlers: Dict[str, Callable[[int, Any], Any]] = {}
         #: per queue, the ops still in flight plus the failed ones no
@@ -259,7 +265,7 @@ class ConduitClient:
         obs = self._obs
         if not obs.enabled:
             return on_complete
-        ctx = obs.capture(track=f"rank{self.rank}")
+        ctx = obs.capture(track=self._track)
         if ctx is None:
             return on_complete
         world = self.conduit.world
@@ -442,7 +448,7 @@ class ConduitClient:
                 bandwidth_factor=params.bw_efficiency(total),
                 rails=params.rails_for(total, world.platform.node.nics_per_node),
                 force_network=src_ep != dst_ep and src_ep.node == dst_ep.node,
-                fault_site=f"conduit.{op}",
+                fault_site=_FAULT_SITES[op],
                 initiator=self.rank,
             )
 
@@ -515,7 +521,7 @@ class ConduitClient:
         dst_host = world.topology.host(world.ranks[dst_rank].node)
         self._count_message("am", payload_bytes)
         obs = self._obs
-        send_ctx = obs.capture(track=f"rank{self.rank}")
+        send_ctx = obs.capture(track=self._track)
 
         def issue() -> Future:
             # One attempt = request leg + handler + reply leg.  A

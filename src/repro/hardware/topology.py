@@ -1,4 +1,4 @@
-"""Cluster topology graph and communication path queries.
+"""Cluster topology and communication path queries.
 
 The topology answers the question the DiOMP runtime asks before every
 transfer (paper §3.2): *given two endpoints, what is the best physical
@@ -18,32 +18,30 @@ contention.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
-from typing import List, Tuple
-
-import networkx as nx
+from typing import Dict, List, Tuple
 
 from repro.hardware.node import NodeSpec
 from repro.util.errors import ConfigurationError
 from repro.util.units import US
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class DeviceId:
+class DeviceId(collections.namedtuple("DeviceId", "kind node index")):
     """Globally unique endpoint identifier.
 
     ``kind`` is ``"gpu"`` or ``"host"``; ``index`` is the device index
-    within its node (0 for hosts).
+    within its node (0 for hosts).  A tuple, so every device-keyed
+    lookup hashes and compares it in C.
     """
 
-    kind: str
-    node: int
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("gpu", "host"):
-            raise ConfigurationError(f"bad device kind {self.kind!r}")
+    def __new__(cls, kind: str, node: int, index: int) -> "DeviceId":
+        if kind not in ("gpu", "host"):
+            raise ConfigurationError(f"bad device kind {kind!r}")
+        return tuple.__new__(cls, (kind, node, index))
 
     def __str__(self) -> str:
         if self.kind == "host":
@@ -94,32 +92,9 @@ class ClusterTopology:
             raise ConfigurationError(f"num_nodes must be positive, got {num_nodes}")
         self.node_spec = node_spec
         self.num_nodes = num_nodes
-        self.graph = nx.Graph()
-        self._build_graph()
-
-    # -- construction ----------------------------------------------------
-
-    def _build_graph(self) -> None:
-        spec = self.node_spec
-        for n in range(self.num_nodes):
-            host = DeviceId("host", n, 0)
-            self.graph.add_node(host, spec=spec.cpu)
-            for g in range(spec.gpus_per_node):
-                gpu = DeviceId("gpu", n, g)
-                self.graph.add_node(gpu, spec=spec.gpu)
-                self.graph.add_edge(
-                    host, gpu, link=spec.host_link, key=f"node{n}/host-gpu{g}"
-                )
-            for i in range(spec.gpus_per_node):
-                for j in range(i + 1, spec.gpus_per_node):
-                    link = spec.link_between(i, j)
-                    if link is not None:
-                        self.graph.add_edge(
-                            DeviceId("gpu", n, i),
-                            DeviceId("gpu", n, j),
-                            link=link,
-                            key=f"node{n}/gpu{i}-gpu{j}",
-                        )
+        #: routes by path() arguments: specs are frozen, so a route
+        #: never changes once resolved
+        self._paths: Dict[tuple, Path] = {}
 
     # Resource keys are *directional*: modern fabrics (Slingshot, NDR,
     # NVLink, xGMI, PCIe) are full duplex, so the two directions of a
@@ -140,17 +115,10 @@ class ClusterTopology:
 
     def gpu(self, node: int, index: int) -> DeviceId:
         """The :class:`DeviceId` for a GPU, with bounds checking."""
-        self._check_node(node)
-        if not 0 <= index < self.node_spec.gpus_per_node:
-            raise ConfigurationError(
-                f"gpu index {index} out of range on node {node} "
-                f"(node has {self.node_spec.gpus_per_node})"
-            )
-        return DeviceId("gpu", node, index)
+        return self._checked(DeviceId("gpu", node, index))
 
     def host(self, node: int) -> DeviceId:
-        self._check_node(node)
-        return DeviceId("host", node, 0)
+        return self._checked(DeviceId("host", node, 0))
 
     def all_gpus(self) -> List[DeviceId]:
         """Every GPU in the cluster, ordered (node-major)."""
@@ -171,11 +139,15 @@ class ClusterTopology:
             return 0
         return device.index % self.node_spec.nics_per_node
 
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self.num_nodes:
+    def _checked(self, device: DeviceId) -> DeviceId:
+        """``device`` if it is an endpoint of this cluster."""
+        per_node = 1 if device.kind == "host" else self.node_spec.gpus_per_node
+        if not (0 <= device.node < self.num_nodes and 0 <= device.index < per_node):
             raise ConfigurationError(
-                f"node {node} out of range (cluster has {self.num_nodes})"
+                f"unknown device {device}: out of range (cluster has "
+                f"{self.num_nodes} node(s) of {self.node_spec.gpus_per_node} GPUs)"
             )
+        return device
 
     # -- path resolution --------------------------------------------------------
 
@@ -199,20 +171,29 @@ class ClusterTopology:
         same-node pair loop through the NICs — what a network conduit
         does without an intra-node shared-memory/IPC layer, and the
         thing DiOMP's hierarchical path selection avoids.
+
+        Each argument tuple is resolved once; later calls return the
+        same :class:`Path` object.
         """
-        for dev in (src, dst):
-            if dev not in self.graph:
-                raise ConfigurationError(f"unknown device {dev}")
+        key = (src, dst, operation, gpu_memory, rails, force_network)
+        path = self._paths.get(key)
+        if path is not None:
+            return path
+        self._checked(src)
+        self._checked(dst)
         if src == dst:
             bw = (
                 self.node_spec.gpu.mem_bandwidth
                 if src.kind == "gpu"
                 else self.node_spec.host_link.bandwidth
             )
-            return Path(PathKind.SAME_DEVICE, _LOCAL_COPY_LATENCY, bw, ())
-        if src.node == dst.node and not force_network:
-            return self._intra_node_path(src, dst)
-        return self._inter_node_path(src, dst, operation, gpu_memory, rails)
+            path = Path(PathKind.SAME_DEVICE, _LOCAL_COPY_LATENCY, bw, ())
+        elif src.node == dst.node and not force_network:
+            path = self._intra_node_path(src, dst)
+        else:
+            path = self._inter_node_path(src, dst, operation, gpu_memory, rails)
+        self._paths[key] = path
+        return path
 
     def _intra_node_path(self, src: DeviceId, dst: DeviceId) -> Path:
         spec = self.node_spec

@@ -190,7 +190,7 @@ class Fabric:
                 kind=path.kind.value,
                 end=end,
             )
-        fut = Future(self.sim, description=f"xfer {src}->{dst} {nbytes}B")
+        fut = Future(self.sim, description=lambda: f"xfer {src}->{dst} {nbytes}B")
         fut.eta = end
         if action is not None and action.is_failure:
             if action.kind == "drop":

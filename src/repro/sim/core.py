@@ -48,7 +48,9 @@ handshake.  Building a world never pays OS-thread cost for ranks that
 a bounded run or an early abort never reaches.  Task threads install
 the hooks set with ``threading.setprofile``/``settrace``, and an
 exception escaping one reaches ``threading.excepthook``, as on a
-``threading.Thread``.
+``threading.Thread``.  Each pins itself to the lowest CPU the process
+may use: one task runs at a time, so a second CPU only adds cross-CPU
+wake-ups; the caller's own threads keep their affinity.
 
 Scalability (1024+ ranks): SPMD programs generate large bursts of
 events at identical timestamps — every barrier release, collective
@@ -69,9 +71,11 @@ re-raises it after killing the remaining tasks so no threads leak
 from __future__ import annotations
 
 import collections
+import contextlib
 import enum
 import heapq
 import itertools
+import os
 import sys
 import threading
 from _thread import allocate_lock, get_ident, start_new_thread
@@ -91,6 +95,10 @@ else:  # pragma: no cover - Python 3.9
     def _thread_hooks() -> tuple:
         """The (profile, trace) hooks set for new threads."""
         return threading._profile_hook, threading._trace_hook
+
+
+#: the CPU every task thread runs on (see the module docstring)
+_TASK_CPUS = {min(os.sched_getaffinity(0))} if hasattr(os, "sched_setaffinity") else None
 
 
 class _Kill(BaseException):
@@ -182,6 +190,9 @@ class Task:
     def _thread_main(self) -> None:
         thread = self._thread
         thread.ident = get_ident()
+        if _TASK_CPUS is not None:
+            with contextlib.suppress(OSError):  # the CPU went away: run unpinned
+                os.sched_setaffinity(0, _TASK_CPUS)
         profile, trace = _thread_hooks()
         if trace is not None:
             sys.settrace(trace)

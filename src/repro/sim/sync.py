@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import collections
 import copy
-from typing import Any, Callable, Deque, Dict, Hashable, List, NamedTuple, Optional
+from typing import Any, Callable, Deque, Dict, Hashable, List, NamedTuple, Optional, Union
 
 from repro.sim.core import Simulator, Task
 from repro.util.errors import SimulationError
@@ -40,15 +40,24 @@ class Future:
     #: sets it on transfer completions): the hybrid polling hint
     eta: Optional[float] = None
 
-    def __init__(self, sim: Simulator, description: str = "future") -> None:
+    def __init__(
+        self, sim: Simulator, description: Union[str, Callable[[], str]] = "future"
+    ) -> None:
         self.sim = sim
-        self.description = description
+        self._description = description
         self.fired = False
         self.value: Any = None
         #: the error this future completed with (None on success)
         self.error: Optional[BaseException] = None
         self._waiters: List[Task] = []
         self._callbacks: List[Any] = []
+
+    @property
+    def description(self) -> str:
+        """What this future stands for; a hot-path producer passes a
+        callable, so the text is built only when read."""
+        desc = self._description
+        return desc if isinstance(desc, str) else desc()
 
     def fire(self, value: Any = None, delay: float = 0.0) -> None:
         """Complete the future, waking all waiters after ``delay``.

@@ -232,6 +232,34 @@ class TestHybridFence:
         assert out["iters"] == 2  # exactly one blocking wait per event
         assert out["t"] == pytest.approx(5e-3, rel=1e-3)
 
+    def test_equal_eta_events_waited_in_issue_order(self):
+        """Ties on ETA keep issue order, and events without an ETA come
+        last.  The iteration count is the one the per-poll minimum
+        search produced."""
+        sim, pool = make_pool()
+        order = []
+        out = {}
+
+        def prog():
+            events = []
+            for i, name in enumerate(["a", "b", "c"]):
+                fut = _RecordingFuture(sim, name, order)
+                fut.eta = 1e-3
+                sim.call_later((i + 1) * 1e-3, fut.fire)
+                events.append(fut)
+            no_eta = _RecordingFuture(sim, "none", order)
+            sim.call_later(0.5e-3, no_eta.fire)
+            # The ETA-less event is listed first and completes first.
+            out["iters"] = pool.hybrid_fence([no_eta] + events)
+            out["t"] = sim.now
+
+        sim.spawn(prog)
+        sim.run()
+        assert order == ["a", "b", "c"]
+        # One poll before each wait; the last completion ends the fence.
+        assert out["iters"] == 3
+        assert out["t"] == pytest.approx(3e-3)
+
     def test_fence_prefers_stream_completing_before_event(self):
         """A stream whose available_at precedes the earliest event eta
         is synchronized first, keeping iteration count minimal."""

@@ -168,6 +168,99 @@ class TestTopologyPaths:
         with pytest.raises(ConfigurationError):
             platform_a().cluster(0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            DeviceId("gpu", 2, 0),  # node out of range
+            DeviceId("gpu", -1, 0),
+            DeviceId("gpu", 0, 4),  # GPU index out of range
+            DeviceId("gpu", 0, -1),
+            DeviceId("host", 0, 1),  # a host's index is always 0
+            DeviceId("host", 2, 0),
+        ],
+        ids=str,
+    )
+    def test_unknown_endpoint_rejected_either_side(self, topo, bad):
+        good = topo.gpu(0, 0)
+        for src, dst in ((bad, good), (good, bad)):
+            with pytest.raises(ConfigurationError, match="unknown device"):
+                topo.path(src, dst)
+
+
+class TestDeviceIdValue:
+    """``DeviceId`` is a value: built anywhere, it equals, hashes and
+    sorts like any other with the same fields."""
+
+    def test_str_and_repr(self):
+        assert str(DeviceId("gpu", 3, 1)) == "gpu3.1"
+        assert str(DeviceId("host", 2, 0)) == "host2"
+        assert f"{DeviceId('gpu', 0, 2)}" == "gpu0.2"
+        assert repr(DeviceId("gpu", 3, 1)) == "DeviceId(kind='gpu', node=3, index=1)"
+
+    def test_mixed_list_sorts_by_kind_node_index(self):
+        devs = [
+            DeviceId("host", 1, 0),
+            DeviceId("gpu", 1, 0),
+            DeviceId("host", 0, 0),
+            DeviceId("gpu", 0, 3),
+            DeviceId("gpu", 0, 1),
+        ]
+        assert [str(d) for d in sorted(devs)] == [
+            "gpu0.1", "gpu0.3", "gpu1.0", "host0", "host1"
+        ]
+
+    def test_separate_constructions_are_one_key(self):
+        a = DeviceId("gpu", 1, 2)
+        b = DeviceId(kind="gpu", node=1, index=2)
+        assert a == b and hash(a) == hash(b)
+        assert a != DeviceId("gpu", 1, 3)
+        assert {a: "x"}[b] == "x"
+        assert (a.kind, a.node, a.index) == ("gpu", 1, 2)
+
+    def test_immutable(self):
+        d = DeviceId("gpu", 0, 0)
+        with pytest.raises(AttributeError):
+            d.node = 1
+        with pytest.raises(AttributeError):
+            d.label = "x"  # no per-instance dict
+
+    @pytest.mark.parametrize("kind", ["cpu", "GPU", ""])
+    def test_bad_kind_rejected(self, kind):
+        with pytest.raises(ConfigurationError, match="bad device kind"):
+            DeviceId(kind, 0, 0)
+
+
+def _endpoints(topo):
+    return [topo.host(n) for n in range(topo.num_nodes)] + topo.all_gpus()
+
+
+class TestRouteMemo:
+    """``path()`` resolves a route once per argument tuple."""
+
+    @pytest.mark.parametrize("factory", [platform_a, platform_b, platform_c])
+    def test_memoized_route_equals_fresh_resolution(self, factory):
+        platform = factory()
+        topo = platform.cluster(2)
+        endpoints = _endpoints(topo)
+        for src in endpoints:
+            for dst in endpoints:
+                for op in ("put", "get"):
+                    for gpu_memory in (True, False):
+                        for rails in (1, 2):
+                            for force in (False, True):
+                                args = (src, dst, op, gpu_memory, rails, force)
+                                first = topo.path(*args)
+                                # A topology that never saw another query.
+                                fresh = platform.cluster(2).path(*args)
+                                assert first == fresh, args
+                                assert topo.path(*args) is first, args
+
+    def test_keyword_and_default_calls_share_the_route(self):
+        topo = platform_a().cluster(2)
+        src, dst = topo.gpu(0, 0), topo.gpu(1, 1)
+        assert topo.path(src, dst) is topo.path(src, dst, operation="put")
+        assert topo.path(src, dst, "get") is not topo.path(src, dst, "put")
+
 
 class TestPlatforms:
     def test_platform_a_shape(self):

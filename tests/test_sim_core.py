@@ -1,6 +1,7 @@
 """Tests for the discrete-event simulation kernel."""
 
 import _thread
+import os
 import threading
 
 import pytest
@@ -468,6 +469,29 @@ class TestLazyThreads:
         assert _thread._count() == before
         assert all(t.state is TaskState.KILLED for t in tasks)
         assert all(t._thread is None for t in tasks)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no per-thread CPU affinity"
+)
+class TestTaskThreadAffinity:
+    def test_task_threads_share_the_lowest_cpu(self):
+        """Every task thread runs on one CPU, the lowest the process
+        may use; the thread that called run() keeps its affinity."""
+        main_before = os.sched_getaffinity(0)
+        sim = Simulator()
+        seen = []
+
+        def prog():
+            seen.append(os.sched_getaffinity(0))
+            sim.sleep(1.0)
+            seen.append(os.sched_getaffinity(0))
+
+        for _ in range(3):
+            sim.spawn(prog)
+        sim.run()
+        assert seen == [{min(main_before)}] * 6
+        assert os.sched_getaffinity(0) == main_before
 
 
 class TestSchedulerScaling:

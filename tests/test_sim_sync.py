@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Barrier, Channel, Future, Lock, Release, Rendezvous, Semaphore, Simulator
-from repro.util.errors import SimulationError
+from repro.util.errors import DeadlockError, SimulationError
 
 
 class TestFuture:
@@ -108,6 +108,46 @@ class TestFuture:
         sim.call_later(3.0, fut.fire)
         sim.run()
         assert times == [3.0]
+
+
+class TestLazyDescription:
+    """A callable description is formatted only when something reads
+    it, and the text is the same as an eager one."""
+
+    def test_not_formatted_unless_read(self):
+        sim = Simulator()
+        calls = []
+
+        def describe():
+            calls.append(1)
+            return "xfer gpu0.0->gpu1.0 8B"
+
+        fut = Future(sim, description=describe)
+        sim.call_later(1.0, fut.fire)
+        sim.spawn(lambda: (sim.sleep(2.0), fut.wait()))  # completed: no park
+        sim.run()
+        assert calls == []
+        assert fut.description == "xfer gpu0.0->gpu1.0 8B"
+        assert calls == [1]
+
+    def test_deadlock_report_reads_it(self):
+        sim = Simulator()
+        fut = Future(sim, description=lambda: "xfer host0->gpu1.2 64B")
+        sim.spawn(fut.wait, name="r0")
+        with pytest.raises(DeadlockError, match=r"r0: wait\(xfer host0->gpu1\.2 64B\)"):
+            sim.run()
+
+    def test_fired_twice_reads_it(self):
+        sim = Simulator()
+        fut = Future(sim, description=lambda: "s3:diomp-put")
+
+        def prog():
+            fut.fire()
+            fut.fire()
+
+        sim.spawn(prog)
+        with pytest.raises(SimulationError, match="s3:diomp-put: fired twice"):
+            sim.run()
 
 
 class TestChannel:
